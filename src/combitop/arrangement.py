@@ -3,7 +3,8 @@
 The arrangement is generated by the coordinate subspaces of the minimal
 non-faces; a point lies in the complement exactly when its zero set of
 coordinates is a face.  Over the reals the complement has the homology of
-the real moment-angle model, which this module reuses.
+the real moment-angle complex, which this module takes from the stable
+splitting in ``macomplex``; the cubical model stays the independent check.
 """
 
 from __future__ import annotations
@@ -45,5 +46,5 @@ def in_complement(K: SimplicialComplex, zero_set) -> bool:
 def real_complement_homology(
     K: SimplicialComplex, mod2: bool = False
 ) -> list[HomologyGroup]:
-    """Homology of the real arrangement complement, via the moment-angle model."""
+    """Homology of the real arrangement complement: that of the moment-angle complex."""
     return moment_angle_homology(K, mod2=mod2)

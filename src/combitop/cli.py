@@ -52,8 +52,11 @@ def parse_complex(path: str) -> tuple[SimplicialComplex, str | None]:
     except KeyError as exc:
         raise CliError(2, f"missing key {exc} in complex document") from exc
     name = doc.get("name")
-    if not isinstance(m, int) or not isinstance(maximal, list):
+    # bool is a subclass of int, but true and false are not vertex labels
+    if isinstance(m, bool) or not isinstance(m, int) or not isinstance(maximal, list):
         raise CliError(2, "'vertices' must be an integer and 'maximal_faces' a list")
+    if any(isinstance(v, bool) for face in maximal if isinstance(face, list) for v in face):
+        raise CliError(2, "vertices in 'maximal_faces' must be integers, not booleans")
     if m > MAX_VERTICES:
         raise CliError(2, f"at most {MAX_VERTICES} vertices supported, got {m}")
     try:

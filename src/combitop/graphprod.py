@@ -281,9 +281,10 @@ def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
             match = _CIRC_RE.fullmatch(tok)
             if not match:
                 raise ValueError(f"bad circulation letter {tok!r} (expected t<i>@<p>/<q>)")
-            letters.append(
-                (int(match.group(1)), Fraction(int(match.group(2)), int(match.group(3))))
-            )
+            q = int(match.group(3))
+            if q == 0:
+                raise ValueError(f"zero denominator in circulation letter {tok!r}")
+            letters.append((int(match.group(1)), Fraction(int(match.group(2)), q)))
     return word(kind, graph, letters)
 
 

@@ -85,7 +85,20 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
                 break
         diag.append(M[t][t])
         t += 1
-    # pairwise gcd/lcm sweep enforces the divisibility chain
+    factors = invariant_factors(diag)
+    return [1] * (len(diag) - len(factors)) + list(factors)
+
+
+def invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
+    """Invariant factors of the sum of cyclic groups Z/d, d in ``orders``.
+
+    The result is ascending, each entry divides the next, and trivial
+    factors (1s) are dropped; every order must be positive.
+    """
+    if any(d < 1 for d in orders):
+        raise ValueError(f"cyclic group orders must be positive, got {list(orders)}")
+    diag = [d for d in orders if d != 1]
+    # pairwise gcd/lcm sweep: Z/a + Z/b = Z/gcd + Z/lcm
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]
@@ -93,7 +106,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
                 g = math.gcd(a, b)
                 diag[i] = g
                 diag[j] = a // g * b
-    return diag
+    return tuple(d for d in diag if d != 1)
 
 
 def gf2_rank(mat: Sequence[Sequence[int]]) -> int:

@@ -1,8 +1,14 @@
-"""Cubical model of the real moment-angle complex of K inside [-1,1]^m.
+"""The real moment-angle complex of K inside [-1,1]^m.
 
-A cell is a pair (J, signs): J a face of K spanning the free coordinates,
-and a choice of +-1 for every coordinate outside J.  The sign-flip action
-of C2^m permutes cells; coordinate i fixes a cell exactly when i lies in J.
+Its cubical model has a cell (J, signs) for each face J of K spanning the
+free coordinates and each choice of +-1 for the coordinates outside J.  The
+sign-flip action of C2^m permutes cells; coordinate i fixes a cell exactly
+when i lies in J.
+
+Homology comes from the real stable splitting instead of the cubical
+chains: H_i = sum over W of the reduced homology H~_{i-1}(K_W) of the full
+subcomplexes, torsion included.  The cubical model's own homology
+(``real_moment_angle(K).homology()``) is kept as the independent check.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import iter_vertices, popcount, vertices_of
-from .homology import CubicalComplex, HomologyGroup
+from .homology import ChainComplex, CubicalComplex, HomologyGroup, invariant_factors
 from .simplicial import SimplicialComplex
 
 MAX_MA_VERTICES = 16
@@ -61,12 +67,16 @@ def _ma_boundary(cell: MACell) -> list[tuple[int, MACell]]:
     return terms
 
 
-def real_moment_angle(K: SimplicialComplex) -> CubicalComplex:
-    """All cells (J, signs) with J a face of K."""
+def _check_vertex_cap(K: SimplicialComplex) -> None:
     if K.m > MAX_MA_VERTICES:
         raise ValueError(
             f"moment-angle model limited to {MAX_MA_VERTICES} vertices, got {K.m}"
         )
+
+
+def real_moment_angle(K: SimplicialComplex) -> CubicalComplex:
+    """All cells (J, signs) with J a face of K."""
+    _check_vertex_cap(K)
     full = (1 << K.m) - 1
     by_dim: dict[int, list[MACell]] = {}
     for J in K.face_masks:
@@ -87,8 +97,64 @@ def real_moment_angle(K: SimplicialComplex) -> CubicalComplex:
     return CubicalComplex(cells, _ma_boundary)
 
 
+def _augmented_chains(faces: list[int]) -> ChainComplex:
+    """Augmented simplicial chains of a downward-closed face list sorted by size.
+
+    Degree s holds the faces with s vertices, the empty face in degree 0, so
+    homology in degree s is reduced homology in dimension s - 1.
+    """
+    by_size: list[list[int]] = [[] for _ in range(popcount(faces[-1]) + 1)]
+    for f in faces:
+        by_size[popcount(f)].append(f)
+    boundaries = []
+    for k in range(1, len(by_size)):
+        row_of = {f: i for i, f in enumerate(by_size[k - 1])}
+        mat = [[0] * len(by_size[k]) for _ in by_size[k - 1]]
+        for j, f in enumerate(by_size[k]):
+            sign = 1
+            rest = f
+            while rest:
+                low = rest & -rest
+                mat[row_of[f ^ low]][j] = sign
+                sign = -sign
+                rest ^= low
+        boundaries.append(mat)
+    return ChainComplex([len(fs) for fs in by_size], boundaries)
+
+
 def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[HomologyGroup]:
-    return real_moment_angle(K).homology(mod2=mod2)
+    """H_0 .. H_{dim K + 1} of the real moment-angle complex, by the stable splitting.
+
+    H_i is the sum over vertex sets W of H~_{i-1}(K_W), where the empty
+    W contributes H~_{-1} of the empty complex, Z, to H_0.  A W that is a
+    face, or whose full subcomplex is a cone, contributes nothing.
+    """
+    _check_vertex_cap(K)
+    faces = sorted(K.face_masks, key=popcount)
+    # cone[f]: f and every vertex that extends f to a face
+    cone = {}
+    for f in faces:
+        c = f
+        for v in range(K.m):
+            if f | (1 << v) in K.face_masks:
+                c |= 1 << v
+        cone[f] = c
+    top = popcount(faces[-1])
+    betti = [1] + [0] * top
+    torsion: list[list[int]] = [[] for _ in range(top + 1)]
+    for W in range(1, 1 << K.m):
+        if W in K.face_masks:
+            continue
+        sub = [f for f in faces if not f & ~W]
+        apex = W
+        for f in sub:
+            apex &= cone[f]
+        if apex:
+            continue
+        for s, g in enumerate(_augmented_chains(sub).homology(mod2=mod2)):
+            betti[s] += g.betti
+            torsion[s].extend(g.torsion)
+    return [HomologyGroup(b, invariant_factors(t)) for b, t in zip(betti, torsion)]
 
 
 def stabilizer(cell: MACell) -> tuple[int, ...]:

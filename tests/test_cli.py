@@ -94,6 +94,20 @@ def test_vertex_out_of_range_exit_2(write_doc, capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": True, "maximal_faces": []},
+        {"vertices": 2, "maximal_faces": [[True, 2]]},
+    ],
+)
+def test_boolean_in_complex_exit_2(write_doc, capsys, doc):
+    code, out, err = run(capsys, ["info", write_doc(doc)])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, ["info", "/nonexistent/path.json"])
     assert code == 2
@@ -184,6 +198,15 @@ def test_word_parse_error_exit_2(write_doc, capsys):
         capsys, ["word-reduce", "--group", "artin", write_doc(SQUARE), "nonsense"]
     )
     assert code == 2
+
+
+def test_word_zero_denominator_exit_2(write_doc, capsys):
+    code, out, err = run(
+        capsys, ["word-reduce", "--group", "circulation", write_doc(SQUARE), "t1@1/0"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: zero denominator" in err and "Traceback" not in err
 
 
 def test_circulation_word(write_doc, capsys):

@@ -323,6 +323,14 @@ def test_parse_rejects_garbage():
             parse_word(kind, g, text)
 
 
+def test_parse_rejects_zero_denominator():
+    g = square_graph()
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_word("circulation", g, "t1@1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_word("circulation", g, "t2@1/4 t1@-3/00")
+
+
 def test_inverse_and_product():
     g = square_graph()
     rng = random.Random(8)

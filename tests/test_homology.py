@@ -8,6 +8,7 @@ from combitop.homology import (
     HomologyGroup,
     gf2_rank,
     homology,
+    invariant_factors,
     smith_normal_form,
 )
 
@@ -42,6 +43,27 @@ def test_snf_torsion_heavy():
     assert smith_normal_form([[2, 4], [4, 2]]) == [2, 6]
     assert smith_normal_form([[2]]) == [2]
     assert smith_normal_form([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == [1, 30, 30]
+
+
+def test_invariant_factors_examples():
+    assert invariant_factors([4, 6]) == (2, 12)
+    assert invariant_factors([2, 3]) == (6,)
+    assert invariant_factors([1, 1, 2, 1]) == (2,)
+    assert invariant_factors([1]) == ()
+    assert invariant_factors([]) == ()
+    assert invariant_factors([12, 2, 2]) == (2, 2, 12)
+    with pytest.raises(ValueError):
+        invariant_factors([2, 0])
+
+
+def test_invariant_factors_against_determinant_divisors():
+    # the sum of Z/d_i is presented by the diagonal matrix diag(d_i)
+    rng = random.Random(17)
+    for _ in range(80):
+        orders = [rng.randint(1, 30) for _ in range(rng.randint(1, 4))]
+        diagonal = [[d if i == j else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
+        expected = tuple(d for d in snf_by_determinant_divisors(diagonal) if d > 1)
+        assert invariant_factors(orders) == expected
 
 
 def test_gf2_rank():

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from combitop._bits import vertices_of
 from combitop.connectivity import connectivity_report
 from combitop.homology import HomologyGroup
 from combitop.macomplex import (
@@ -156,19 +159,40 @@ def test_three_points_gives_wedge_of_circles():
     assert groups == [Z, HomologyGroup(5)]
 
 
+# minimal 6-vertex triangulation of RP^2
+RP2 = SimplicialComplex.from_maximal_faces(
+    6,
+    [
+        [1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+        [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6],
+    ],
+)
+
+
 def test_projective_plane_model_has_torsion():
-    # minimal 6-vertex triangulation of RP^2; pinned after cross-checking
-    # the Euler characteristic (64 - 192 + 240 - 80 = 32), universal
-    # coefficients against the mod-2 ranks, and the connectivity bound
-    rp2 = SimplicialComplex.from_maximal_faces(
-        6,
-        [
-            [1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
-            [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6],
-        ],
-    )
-    model = real_moment_angle(rp2)
+    # pinned after cross-checking the Euler characteristic
+    # (64 - 192 + 240 - 80 = 32), universal coefficients against the
+    # mod-2 ranks, and the connectivity bound
+    model = real_moment_angle(RP2)
     assert model.euler_characteristic() == 32
-    groups = moment_angle_homology(rp2)
+    groups = moment_angle_homology(RP2)
     assert groups == [Z, ZERO, HomologyGroup(31, (2,)), ZERO]
-    assert [g.betti for g in moment_angle_homology(rp2, mod2=True)] == [1, 0, 32, 1]
+    assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] == [1, 0, 32, 1]
+
+
+@st.composite
+def small_complexes(draw):
+    m = draw(st.integers(0, 6))
+    facets = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=6))
+    return SimplicialComplex.from_maximal_faces(m, [vertices_of(f) for f in facets])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(small_complexes())
+@example(RP2)
+@example(polygon_boundary(5))
+def test_splitting_matches_cubical_model(K):
+    # the stable splitting against the cubical chains of the same space,
+    # torsion and trailing zero groups included
+    for mod2 in (False, True):
+        assert moment_angle_homology(K, mod2) == real_moment_angle(K).homology(mod2=mod2)
