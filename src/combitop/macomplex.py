@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import iter_vertices, popcount, vertices_of
-from .homology import ChainComplex, CubicalComplex, HomologyGroup, invariant_factors
+from .homology import CubicalComplex, HomologyGroup, invariant_factors
 from .simplicial import SimplicialComplex
 
 MAX_MA_VERTICES = 16
@@ -97,7 +97,20 @@ def real_moment_angle(K: SimplicialComplex) -> CubicalComplex:
     return CubicalComplex(cells, _ma_boundary)
 
 
-def _augmented_chains(faces: list[int]) -> ChainComplex:
+def _simplex_boundary(face: int) -> list[tuple[int, int]]:
+    """Signed codimension-one faces of a face mask, the empty face included."""
+    terms = []
+    sign = 1
+    rest = face
+    while rest:
+        low = rest & -rest
+        terms.append((sign, face ^ low))
+        sign = -sign
+        rest ^= low
+    return terms
+
+
+def _augmented_chains(faces: list[int]) -> CubicalComplex:
     """Augmented simplicial chains of a downward-closed face list sorted by size.
 
     Degree s holds the faces with s vertices, the empty face in degree 0, so
@@ -106,20 +119,7 @@ def _augmented_chains(faces: list[int]) -> ChainComplex:
     by_size: list[list[int]] = [[] for _ in range(popcount(faces[-1]) + 1)]
     for f in faces:
         by_size[popcount(f)].append(f)
-    boundaries = []
-    for k in range(1, len(by_size)):
-        row_of = {f: i for i, f in enumerate(by_size[k - 1])}
-        mat = [[0] * len(by_size[k]) for _ in by_size[k - 1]]
-        for j, f in enumerate(by_size[k]):
-            sign = 1
-            rest = f
-            while rest:
-                low = rest & -rest
-                mat[row_of[f ^ low]][j] = sign
-                sign = -sign
-                rest ^= low
-        boundaries.append(mat)
-    return ChainComplex([len(fs) for fs in by_size], boundaries)
+    return CubicalComplex(by_size, _simplex_boundary)
 
 
 def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[HomologyGroup]:
