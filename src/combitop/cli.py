@@ -15,6 +15,7 @@ import sys
 
 from . import connectivity as conn
 from . import facecat, graphprod, macomplex, sralg
+from ._bits import vertices_of
 from .arrangement import FIELDS as ARRANGEMENT_FIELDS
 from .arrangement import arrangement as build_arrangement
 from .simplicial import MAX_VERTICES, SimplicialComplex
@@ -67,12 +68,7 @@ def parse_complex(path: str) -> tuple[SimplicialComplex, str | None]:
 
 
 def emit_complex(K: SimplicialComplex, name: str | None = None) -> dict:
-    face_sets = [set(f) for f in K.faces() if f]
-    maximal = [
-        sorted(f)
-        for f in face_sets
-        if not any(g != f and f <= g for g in face_sets)
-    ]
+    maximal = [list(vertices_of(f)) for f in K.maximal_face_masks()]
     doc: dict = {}
     if name:
         doc["name"] = name

@@ -39,10 +39,9 @@ class ConnectivityReport:
 
 
 def connectivity_report(K: SimplicialComplex) -> ConnectivityReport:
-    dims_large = [popcount(w) - 1 for w in K.missing_face_masks() if popcount(w) >= 3]
-    dims_all = [popcount(w) - 1 for w in K.missing_face_masks()]
-    c = min(dims_large) if dims_large else math.inf
-    c_prime = min(dims_all) if dims_all else math.inf
+    dims = [popcount(w) - 1 for w in K.missing_face_masks()]
+    c = min((d for d in dims if d >= 2), default=math.inf)
+    c_prime = min(dims, default=math.inf)
     return ConnectivityReport(c=c, c_prime=c_prime, flag=c == math.inf)
 
 

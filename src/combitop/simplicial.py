@@ -21,7 +21,12 @@ def _face_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A downward-closed family of subsets of {1..m}, as bitmasks."""
+    """A downward-closed family of subsets of {1..m}, as bitmasks.
+
+    ``missing_face_masks()`` (minimal non-faces) and its dual
+    ``maximal_face_masks()`` (facets) both test one-vertex extensions by set
+    lookup, so each costs O(faces * m).
+    """
 
     m: int
     face_masks: frozenset[int]
@@ -129,6 +134,12 @@ class SimplicialComplex:
                 out.add(cand)
         return out
 
+    def maximal_face_masks(self) -> set[int]:
+        """Facets: nonempty faces f with no face f | bit for any vertex bit outside f."""
+        bits = [1 << v for v in range(self.m)]
+        faces = self.face_masks
+        return {f for f in faces if f and all(f & b or f | b not in faces for b in bits)}
+
     def missing_faces(self) -> list[tuple[int, ...]]:
         return [vertices_of(f) for f in sorted(self.missing_face_masks(), key=_face_sort_key)]
 
@@ -183,14 +194,12 @@ class SimplicialComplex:
         """Complex of chains of nonempty faces, ordered by strict inclusion."""
         verts = sorted((f for f in self.face_masks if f), key=_face_sort_key)
         index = {f: i + 1 for i, f in enumerate(verts)}
-        by_size: dict[int, list[int]] = {}
-        for f in verts:
-            by_size.setdefault(popcount(f), []).append(f)
+        bits = [1 << v for v in range(self.m)]
         chains: list[list[int]] = []
 
         def grow(chain: list[int]) -> None:
             top = chain[-1]
-            exts = [g for g in by_size.get(popcount(top) + 1, []) if top & g == top]
+            exts = [top | b for b in bits if not top & b and top | b in self.face_masks]
             if not exts:
                 # no one-vertex extension means maximal, by downward closure
                 chains.append(list(chain))
@@ -199,8 +208,8 @@ class SimplicialComplex:
                 grow(chain)
                 chain.pop()
 
-        for v in by_size.get(1, []):
-            grow([v])
+        for b in bits:
+            grow([b])
         return SimplicialComplex.from_maximal_faces(
             len(verts), [[index[f] for f in chain] for chain in chains]
         )

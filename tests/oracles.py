@@ -12,6 +12,9 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+from combitop._bits import popcount, vertices_of
 from combitop.simplicial import SimplicialComplex
 
 
@@ -45,6 +48,51 @@ def brute_clique_complex(K: SimplicialComplex) -> set[frozenset[int]]:
             if all(frozenset(p) in edges for p in itertools.combinations(sub, 2)):
                 out.add(frozenset(sub))
     return out
+
+
+def brute_maximal_faces(K: SimplicialComplex) -> list[list[int]]:
+    """Facets as sorted vertex lists, ordered by (size, vertices): every face against every other."""
+    face_sets = [set(f) for f in K.faces() if f]
+    maximal = [
+        sorted(f)
+        for f in face_sets
+        if not any(g != f and f <= g for g in face_sets)
+    ]
+    return sorted(maximal, key=lambda f: (len(f), f))
+
+
+def brute_barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
+    """Chains of faces, extending each chain by a scan over every face one size up."""
+    verts = sorted((f for f in K.face_masks if f), key=lambda f: (popcount(f), vertices_of(f)))
+    index = {f: i + 1 for i, f in enumerate(verts)}
+    by_size: dict[int, list[int]] = {}
+    for f in verts:
+        by_size.setdefault(popcount(f), []).append(f)
+    chains: list[list[int]] = []
+
+    def grow(chain: list[int]) -> None:
+        top = chain[-1]
+        exts = [g for g in by_size.get(popcount(top) + 1, []) if top & g == top]
+        if not exts:
+            chains.append(list(chain))
+        for g in exts:
+            chain.append(g)
+            grow(chain)
+            chain.pop()
+
+    for v in by_size.get(1, []):
+        grow([v])
+    return SimplicialComplex.from_maximal_faces(
+        len(verts), [[index[f] for f in chain] for chain in chains]
+    )
+
+
+@st.composite
+def small_complexes(draw, max_m: int = 6):
+    """A hypothesis strategy: the downward closure of up to six random subsets of [m], m <= max_m."""
+    m = draw(st.integers(0, max_m))
+    facets = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=6))
+    return SimplicialComplex.from_maximal_faces(m, [vertices_of(f) for f in facets])
 
 
 def random_complex(m: int, rng: random.Random) -> SimplicialComplex:

@@ -1,10 +1,20 @@
 import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
 
-from combitop.cli import main
-from combitop.simplicial import SimplicialComplex, simplex_boundary
+from combitop._bits import vertices_of
+from combitop.cli import emit_complex, main, parse_complex
+from combitop.simplicial import (
+    SimplicialComplex,
+    discrete_complex,
+    full_simplex,
+    simplex_boundary,
+)
+
+from oracles import brute_maximal_faces, small_complexes
 
 BOUNDARY3 = {"vertices": 3, "maximal_faces": [[1, 2], [1, 3], [2, 3]]}
 SQUARE = {"vertices": 4, "maximal_faces": [[1, 2], [2, 3], [3, 4], [1, 4]]}
@@ -77,6 +87,35 @@ def test_flagify_fixed_point_round_trip(write_doc, capsys):
     assert K == SimplicialComplex.from_maximal_faces(
         SQUARE["vertices"], SQUARE["maximal_faces"]
     )
+
+
+def test_flagify_large_round_trip(write_doc, capsys):
+    # 30 random 6-sets on 24 vertices; the flagification has 36,500 faces,
+    # which an all-pairs facet scan took minutes to print
+    rng = random.Random(10)
+    K = SimplicialComplex.from_maximal_faces(24, [rng.sample(range(1, 25), 6) for _ in range(30)])
+    code, out, _ = run(capsys, ["flagify", write_doc(emit_complex(K))])
+    assert code == 0
+    F, _ = parse_complex(write_doc(json.loads(out), "flag.json"))
+    assert F == K.flagify()
+    assert len(F.face_masks) == 36500
+
+
+def check_maximal_faces(K):
+    expect = brute_maximal_faces(K)
+    assert {vertices_of(f) for f in K.maximal_face_masks()} == {tuple(f) for f in expect}
+    assert emit_complex(K)["maximal_faces"] == expect
+
+
+def test_maximal_faces_match_brute_force(test_complexes):
+    for K in test_complexes + [discrete_complex(0), discrete_complex(4), full_simplex(5)]:
+        check_maximal_faces(K)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(small_complexes(max_m=10))
+def test_maximal_faces_match_brute_force_drawn(K):
+    check_maximal_faces(K)
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):
@@ -282,8 +321,6 @@ def test_deterministic_output(write_doc, capsys):
 
 
 def test_round_trip_parse_emit(test_complexes, capsys, tmp_path):
-    from combitop.cli import emit_complex, parse_complex
-
     for i, K in enumerate(test_complexes):
         doc = emit_complex(K)
         path = tmp_path / f"rt{i}.json"

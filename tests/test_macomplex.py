@@ -1,8 +1,6 @@
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from combitop._bits import vertices_of
 from combitop.connectivity import connectivity_report
 from combitop.homology import HomologyGroup
 from combitop.macomplex import (
@@ -20,6 +18,8 @@ from combitop.simplicial import (
     polygon_boundary,
     simplex_boundary,
 )
+
+from oracles import small_complexes
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)
@@ -178,13 +178,6 @@ def test_projective_plane_model_has_torsion():
     groups = moment_angle_homology(RP2)
     assert groups == [Z, ZERO, HomologyGroup(31, (2,)), ZERO]
     assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] == [1, 0, 32, 1]
-
-
-@st.composite
-def small_complexes(draw):
-    m = draw(st.integers(0, 6))
-    facets = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=6))
-    return SimplicialComplex.from_maximal_faces(m, [vertices_of(f) for f in facets])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

@@ -10,7 +10,13 @@ from combitop.simplicial import (
     simplex_boundary,
 )
 
-from oracles import brute_clique_complex, brute_missing_faces, face_sets, random_complexes
+from oracles import (
+    brute_barycentric_subdivision,
+    brute_clique_complex,
+    brute_missing_faces,
+    face_sets,
+    random_complexes,
+)
 
 
 def test_from_maximal_faces_triangle_boundary():
@@ -175,6 +181,11 @@ def test_barycentric_subdivision_properties(test_complexes):
         assert sub.is_flag()
         # one subdivision vertex per nonempty face
         assert sub.m == len(K.face_masks) - 1
+
+
+def test_barycentric_subdivision_matches_scan_oracle(test_complexes):
+    for K in test_complexes:
+        assert K.barycentric_subdivision() == brute_barycentric_subdivision(K)
 
 
 def test_random_complexes_are_valid():
