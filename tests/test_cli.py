@@ -327,3 +327,290 @@ def test_round_trip_parse_emit(test_complexes, capsys, tmp_path):
         path.write_text(json.dumps(doc))
         K2, _ = parse_complex(str(path))
         assert K2 == K
+
+
+# -- golden output: exact stdout, stderr and exit code -----------------
+
+GOLDEN_DOCS = {
+    "BOUNDARY3_NAMED": {"name": "boundary3", **BOUNDARY3},
+    "SQUARE": SQUARE,
+    "POINTS3": {"vertices": 3, "maximal_faces": [[1], [2], [3]]},
+    "EDGE": {"vertices": 2, "maximal_faces": [[1, 2]]},
+    "SIMPLEX3": {"vertices": 3, "maximal_faces": [[1, 2, 3]]},
+    "SIMPLEX4": {"vertices": 4, "maximal_faces": [[1, 2, 3, 4]]},
+    "GHOSTS17": {"vertices": 17, "maximal_faces": []},
+}
+
+
+def lines(*rows):
+    return "".join(row + "\n" for row in rows)
+
+
+def J(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# argv (document names are files in GOLDEN_DOCS), text stdout, --json stdout
+GOLDEN = [
+    (
+        ["info", "BOUNDARY3_NAMED"],
+        lines(
+            "name: boundary3", "vertices: 3", "dimension: 1", "f-vector: (3, 3)",
+            "faces (including empty): 7", "flag: no", "missing faces: {1,2,3}", "c: 2", "c': 2",
+            "d (coxeter/artin): 1", "d (circulation): 4", "d' (coxeter/artin): 1",
+            "d' (circulation): 4",
+        ),
+        J({
+            "name": "boundary3", "vertices": 3, "dimension": 1, "f_vector": [3, 3],
+            "face_count": 7, "flag": False, "missing_faces": [[1, 2, 3]], "c": 2, "c_prime": 2,
+            "d": {"coxeter": 1, "artin": 1, "circulation": 4},
+            "d_prime": {"coxeter": 1, "artin": 1, "circulation": 4},
+        }),
+    ),
+    (
+        ["info", "SQUARE"],
+        lines(
+            "vertices: 4", "dimension: 1", "f-vector: (4, 4)", "faces (including empty): 9",
+            "flag: yes", "missing faces: {1,3} {2,4}", "c: inf", "c': 1",
+            "d (coxeter/artin): inf", "d (circulation): inf", "d' (coxeter/artin): 0",
+            "d' (circulation): 2",
+        ),
+        J({
+            "name": None, "vertices": 4, "dimension": 1, "f_vector": [4, 4], "face_count": 9,
+            "flag": True, "missing_faces": [[1, 3], [2, 4]], "c": "inf", "c_prime": 1,
+            "d": {"coxeter": "inf", "artin": "inf", "circulation": "inf"},
+            "d_prime": {"coxeter": 0, "artin": 0, "circulation": 2},
+        }),
+    ),
+    (
+        ["info", "POINTS3"],
+        lines(
+            "vertices: 3", "dimension: 0", "f-vector: (3)", "faces (including empty): 4",
+            "flag: yes", "missing faces: {1,2} {1,3} {2,3}", "c: inf", "c': 1",
+            "d (coxeter/artin): inf", "d (circulation): inf", "d' (coxeter/artin): 0",
+            "d' (circulation): 2",
+        ),
+        J({
+            "name": None, "vertices": 3, "dimension": 0, "f_vector": [3], "face_count": 4,
+            "flag": True, "missing_faces": [[1, 2], [1, 3], [2, 3]], "c": "inf", "c_prime": 1,
+            "d": {"coxeter": "inf", "artin": "inf", "circulation": "inf"},
+            "d_prime": {"coxeter": 0, "artin": 0, "circulation": 2},
+        }),
+    ),
+    (
+        ["info", "EDGE"],
+        lines(
+            "vertices: 2", "dimension: 1", "f-vector: (2, 1)", "faces (including empty): 4",
+            "flag: yes", "missing faces: (none)", "c: inf", "c': inf", "d (coxeter/artin): inf",
+            "d (circulation): inf", "d' (coxeter/artin): inf", "d' (circulation): inf",
+        ),
+        J({
+            "name": None, "vertices": 2, "dimension": 1, "f_vector": [2, 1], "face_count": 4,
+            "flag": True, "missing_faces": [], "c": "inf", "c_prime": "inf",
+            "d": {"coxeter": "inf", "artin": "inf", "circulation": "inf"},
+            "d_prime": {"coxeter": "inf", "artin": "inf", "circulation": "inf"},
+        }),
+    ),
+    (
+        ["flagify", "BOUNDARY3_NAMED"],
+        J({"name": "boundary3", "vertices": 3, "maximal_faces": [[1, 2, 3]]}),
+        J({"name": "boundary3", "vertices": 3, "maximal_faces": [[1, 2, 3]]}),
+    ),
+    (
+        ["flagify", "POINTS3"],
+        J({"vertices": 3, "maximal_faces": [[1], [2], [3]]}),
+        J({"vertices": 3, "maximal_faces": [[1], [2], [3]]}),
+    ),
+    (
+        ["sr-hilbert", "--mode", "exterior", "BOUNDARY3_NAMED"],
+        lines("series: 1 + 3*t + 3*t^2"),
+        J({"numerator": [1, 3, 3], "denominator_power": 0, "generator_degree": 1}),
+    ),
+    (
+        ["sr-hilbert", "--mode", "real", "--degree", "3", "SQUARE"],
+        lines("series: (1 + 2*t + t^2) / (1 - t)^2", "coefficient of t^3: 12"),
+        J({
+            "numerator": [1, 2, 1], "denominator_power": 2, "generator_degree": 1, "degree": 3,
+            "coefficient": 12,
+        }),
+    ),
+    (
+        ["sr-hilbert", "--mode", "complex", "--degree", "4", "POINTS3"],
+        lines("series: (1 + 2*t^2) / (1 - t^2)", "coefficient of t^4: 3"),
+        J({
+            "numerator": [1, 0, 2], "denominator_power": 1, "generator_degree": 2, "degree": 4,
+            "coefficient": 3,
+        }),
+    ),
+    (
+        ["sr-hilbert", "--mode", "real", "--degree", "-3", "EDGE"],
+        lines("series: (1) / (1 - t)^2", "coefficient of t^-3: 0"),
+        J({
+            "numerator": [1], "denominator_power": 2, "generator_degree": 1, "degree": -3,
+            "coefficient": 0,
+        }),
+    ),
+    (
+        ["sr-basis", "--mode", "exterior", "--degree", "2", "BOUNDARY3_NAMED"],
+        lines("v1 v2", "v1 v3", "v2 v3", "count: 3"),
+        J([[[1, 1], [2, 1]], [[1, 1], [3, 1]], [[2, 1], [3, 1]]]),
+    ),
+    (
+        ["sr-basis", "--mode", "real", "--degree", "2", "SQUARE"],
+        lines("v1^2", "v1 v2", "v1 v4", "v2^2", "v2 v3", "v3^2", "v3 v4", "v4^2", "count: 8"),
+        J([
+            [[1, 2]], [[1, 1], [2, 1]], [[1, 1], [4, 1]], [[2, 2]], [[2, 1], [3, 1]], [[3, 2]],
+            [[3, 1], [4, 1]], [[4, 2]],
+        ]),
+    ),
+    (
+        ["sr-basis", "--mode", "complex", "--degree", "4", "EDGE"],
+        lines("v1^2", "v1 v2", "v2^2", "count: 3"),
+        J([[[1, 2]], [[1, 1], [2, 1]], [[2, 2]]]),
+    ),
+    (
+        ["sr-basis", "--mode", "complex", "--degree", "0", "POINTS3"],
+        lines("1", "count: 1"),
+        J([[]]),
+    ),
+    (
+        ["word-reduce", "--group", "artin", "SQUARE", "v2^1 v1^1 v3^1"],
+        lines("v1^1 v2^1 v3^1"),
+        J({"word": "v1^1 v2^1 v3^1", "length": 3, "blocks": ["v1^1", "v2^1 v3^1"]}),
+    ),
+    (
+        ["word-reduce", "--group", "coxeter", "BOUNDARY3_NAMED", "a1 a2 a1"],
+        lines("a2"),
+        J({"word": "a2", "length": 1, "blocks": ["a2"]}),
+    ),
+    (
+        ["word-reduce", "--group", "circulation", "POINTS3", "t1@1/4 t1@1/2 t2@1/3"],
+        lines("t1@3/4 t2@1/3"),
+        J({"word": "t1@3/4 t2@1/3", "length": 2, "blocks": ["t1@3/4", "t2@1/3"]}),
+    ),
+    (
+        ["word-equal", "--group", "artin", "SQUARE", "v1^1 v3^1", "v3^1 v1^1"],
+        lines("false"),
+        J({"equal": False}),
+    ),
+    (
+        ["word-equal", "--group", "coxeter", "EDGE", "a1 a2", "a2 a1"],
+        lines("true"),
+        J({"equal": True}),
+    ),
+    (
+        ["ma-homology", "BOUNDARY3_NAMED"],
+        lines("H_0 = Z", "H_1 = 0", "H_2 = Z"),
+        J([
+            {"dim": 0, "betti": 1, "torsion": []}, {"dim": 1, "betti": 0, "torsion": []},
+            {"dim": 2, "betti": 1, "torsion": []},
+        ]),
+    ),
+    (
+        ["ma-homology", "SQUARE"],
+        lines("H_0 = Z", "H_1 = Z^2", "H_2 = Z"),
+        J([
+            {"dim": 0, "betti": 1, "torsion": []}, {"dim": 1, "betti": 2, "torsion": []},
+            {"dim": 2, "betti": 1, "torsion": []},
+        ]),
+    ),
+    (
+        ["ma-homology", "--mod2", "POINTS3"],
+        lines("H_0 = Z", "H_1 = Z^5"),
+        J([{"dim": 0, "betti": 1, "torsion": []}, {"dim": 1, "betti": 5, "torsion": []}]),
+    ),
+    (
+        ["ma-homology", "EDGE"],
+        lines("H_0 = Z", "H_1 = 0", "H_2 = 0"),
+        J([
+            {"dim": 0, "betti": 1, "torsion": []}, {"dim": 1, "betti": 0, "torsion": []},
+            {"dim": 2, "betti": 0, "torsion": []},
+        ]),
+    ),
+    (
+        ["bcat-cells", "BOUNDARY3_NAMED"],
+        lines("cells by dimension: (7, 9, 3)", "total cells: 19", "euler characteristic: 1"),
+        J({"cells_by_dimension": [7, 9, 3], "total": 19, "euler_characteristic": 1}),
+    ),
+    (
+        ["bcat-cells", "POINTS3"],
+        lines("cells by dimension: (4, 3)", "total cells: 7", "euler characteristic: 1"),
+        J({"cells_by_dimension": [4, 3], "total": 7, "euler_characteristic": 1}),
+    ),
+    (
+        ["bcat-cells", "EDGE"],
+        lines("cells by dimension: (4, 4, 1)", "total cells: 9", "euler characteristic: 1"),
+        J({"cells_by_dimension": [4, 4, 1], "total": 9, "euler_characteristic": 1}),
+    ),
+    (
+        ["arrangement", "--field", "C", "POINTS3"],
+        lines(
+            "field: C", "generators (zero sets, with real codimension):", "  {1,2} codim 4",
+            "  {1,3} codim 4", "  {2,3} codim 4",
+        ),
+        J({"field": "C", "generators": [[1, 2], [1, 3], [2, 3]], "codimensions": [4, 4, 4]}),
+    ),
+    (
+        ["arrangement", "--field", "R", "SQUARE"],
+        lines(
+            "field: R", "generators (zero sets, with real codimension):", "  {1,3} codim 2",
+            "  {2,4} codim 2",
+        ),
+        J({"field": "R", "generators": [[1, 3], [2, 4]], "codimensions": [2, 2]}),
+    ),
+    (
+        ["arrangement", "--field", "E", "EDGE"],
+        lines("field: E", "generators: (none; the arrangement is empty)"),
+        J({"field": "E", "generators": [], "codimensions": []}),
+    ),
+    (
+        ["pair-connectivity", "--with", "SIMPLEX4", "SQUARE"],
+        lines("c(K,L): 1", "d(K,L) (coxeter/artin): 0", "d(K,L) (circulation): 2"),
+        J({"c": 1, "d": {"coxeter": 0, "artin": 0, "circulation": 2}}),
+    ),
+    (
+        ["pair-connectivity", "--with", "SIMPLEX3", "BOUNDARY3_NAMED"],
+        lines("c(K,L): 2", "d(K,L) (coxeter/artin): 1", "d(K,L) (circulation): 4"),
+        J({"c": 2, "d": {"coxeter": 1, "artin": 1, "circulation": 4}}),
+    ),
+    (
+        ["pair-connectivity", "--with", "EDGE", "EDGE"],
+        lines("c(K,L): inf", "d(K,L) (coxeter/artin): inf", "d(K,L) (circulation): inf"),
+        J({"c": "inf", "d": {"coxeter": "inf", "artin": "inf", "circulation": "inf"}}),
+    ),
+]
+
+# argv, exit code, stderr; stdout is empty, with or without --json
+GOLDEN_ERRORS = [
+    (
+        ["ma-homology", "GHOSTS17"],
+        1,
+        "error: moment-angle model limited to 16 vertices, got 17\n",
+    ),
+    (
+        ["pair-connectivity", "--with", "SIMPLEX3", "SQUARE"],
+        1,
+        "error: complexes must share a vertex set\n",
+    ),
+]
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    for name, doc in GOLDEN_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv, text, as_json", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(golden_dir, capsys, argv, text, as_json):
+    assert run(capsys, argv) == (0, text, "")
+    assert run(capsys, ["--json", *argv]) == (0, as_json, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, err", GOLDEN_ERRORS, ids=[" ".join(g[0]) for g in GOLDEN_ERRORS]
+)
+def test_golden_errors(golden_dir, capsys, argv, code, err):
+    assert run(capsys, argv) == (code, "", err)
+    assert run(capsys, ["--json", *argv]) == (code, "", err)
