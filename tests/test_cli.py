@@ -1,9 +1,12 @@
+import contextlib
 import io
 import json
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combitop._bits import vertices_of
 from combitop.cli import emit_complex, main, parse_complex
@@ -152,6 +155,25 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+NOT_UTF8 = b'{"vertices": 1, "maximal_faces": [], "name": "caf\xe9"}'
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [(NOT_UTF8, "cannot read"), (TOO_DEEP, "invalid JSON")],
+    ids=["not-utf-8", "nested-too-deep"],
+)
+def test_unreadable_document_exit_2(tmp_path, capsys, monkeypatch, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    for argv in (["info", str(path)], ["info"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message} ") and err.count("\n") == 1
+
+
 def test_sr_hilbert(write_doc, capsys):
     code, out, _ = run(
         capsys, ["sr-hilbert", "--mode", "exterior", write_doc(BOUNDARY3)]
@@ -184,6 +206,13 @@ def test_sr_basis(write_doc, capsys):
     )
     assert code == 0
     assert out.splitlines() == ["v1 v2", "v1 v3", "v2 v3", "count: 3"]
+
+
+def test_sr_basis_negative_degree_exit_2(write_doc, capsys):
+    code, out, err = run(
+        capsys, ["sr-basis", "--mode", "real", "--degree", "-1", write_doc(BOUNDARY3)]
+    )
+    assert (code, out, err) == (2, "", "error: --degree must be >= 0, got -1\n")
 
 
 def test_word_reduce(write_doc, capsys):
@@ -614,3 +643,77 @@ def test_golden_output(golden_dir, capsys, argv, text, as_json):
 def test_golden_errors(golden_dir, capsys, argv, code, err):
     assert run(capsys, argv) == (code, "", err)
     assert run(capsys, ["--json", *argv]) == (code, "", err)
+
+
+# -- fuzz: every document, degree and word ends with exit 0, 1 or 2 -----
+
+SCALARS = st.one_of(
+    st.integers(-2, 9), st.booleans(), st.floats(), st.text(max_size=3), st.none()
+)
+FACE_ENTRIES = st.one_of(SCALARS, st.lists(st.integers(-1, 9), max_size=2))
+
+
+@st.composite
+def documents(draw):
+    """Complex documents, most of them valid, the rest malformed in one field or both."""
+    m = draw(st.integers(-2, 8) if draw(st.integers(0, 3)) else SCALARS)
+    top = m if type(m) is int and m > 0 else 3
+    valid = st.lists(st.lists(st.integers(1, top), min_size=1, max_size=5), max_size=5)
+    malformed = st.one_of(
+        st.lists(st.one_of(st.lists(FACE_ENTRIES, max_size=5), FACE_ENTRIES), max_size=5),
+        SCALARS,
+    )
+    faces = draw(valid if draw(st.integers(0, 3)) else malformed)
+    return {"vertices": m, "maximal_faces": faces}
+
+
+FRAGMENTS = ["v1^1", "v2^-1", "v9^1", "a1", "a3", "t1@1/2", "t2@1/0", "e", "v", "^", "@1/", "-v1"]
+WORDS = st.builds(
+    lambda parts, sep: sep.join(parts),
+    st.lists(st.sampled_from(FRAGMENTS), max_size=4),
+    st.sampled_from([" ", ""]),
+)
+
+
+def exit_code(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            return exc.code
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    documents(),
+    documents(),
+    st.integers(-2, 4),
+    WORDS,
+    WORDS,
+    st.sampled_from(["real", "complex", "exterior"]),
+    st.sampled_from(["coxeter", "artin", "circulation"]),
+    st.sampled_from(["R", "C", "E"]),
+)
+def test_fuzz_exit_codes(doc, other, degree, word1, word2, mode, group, field):
+    with tempfile.TemporaryDirectory() as d:
+        path, other_path = f"{d}/doc.json", f"{d}/other.json"
+        for name, payload in ((path, doc), (other_path, other)):
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+        commands = [
+            ["info", path],
+            ["flagify", path],
+            ["sr-hilbert", "--mode", mode, "--degree", str(degree), path],
+            ["sr-basis", "--mode", mode, "--degree", str(degree), path],
+            ["word-reduce", "--group", group, path, word1],
+            ["word-equal", "--group", group, path, word1, word2],
+            ["ma-homology", path],
+            ["ma-homology", "--mod2", path],
+            ["bcat-cells", path],
+            ["arrangement", "--field", field, path],
+            ["pair-connectivity", "--with", other_path, path],
+        ]
+        for argv in commands:
+            for flag in ([], ["--json"]):
+                assert exit_code(flag + argv) in (0, 1, 2), flag + argv
