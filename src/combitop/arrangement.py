@@ -9,8 +9,7 @@ splitting in ``macomplex``; the cubical model stays the independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._bits import Value, setfield
 from .homology import HomologyGroup
 from .macomplex import moment_angle_homology
 from .simplicial import SimplicialComplex
@@ -20,10 +19,12 @@ FIELDS = ("R", "C", "E")
 _CODIM_PER_VERTEX = {"R": 1, "C": 2, "E": 1}
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    field: str
-    generators: tuple[tuple[int, ...], ...]
+class Arrangement(Value):
+    __slots__ = ("field", "generators")
+
+    def __init__(self, field: str, generators: tuple[tuple[int, ...], ...]) -> None:
+        setfield(self, "field", field)
+        setfield(self, "generators", generators)
 
     def codimensions(self) -> tuple[int, ...]:
         """Real codimension of each generating subspace."""

@@ -10,12 +10,9 @@ circulation.  Infinity is represented by ``math.inf``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ._bits import popcount
+from ._bits import Value, popcount, setfield
 from .simplicial import SimplicialComplex
-
-GROUP_KINDS = ("coxeter", "artin", "circulation")
 
 
 def derived_degrees(c) -> dict[str, object]:
@@ -23,11 +20,13 @@ def derived_degrees(c) -> dict[str, object]:
     return {"coxeter": c - 1, "artin": c - 1, "circulation": 2 * c}
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    c: object
-    c_prime: object
-    flag: bool
+class ConnectivityReport(Value):
+    __slots__ = ("c", "c_prime", "flag")
+
+    def __init__(self, c: object, c_prime: object, flag: bool) -> None:
+        setfield(self, "c", c)
+        setfield(self, "c_prime", c_prime)
+        setfield(self, "flag", flag)
 
     @property
     def d(self) -> dict[str, object]:

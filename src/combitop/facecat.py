@@ -8,23 +8,21 @@ subcube between the characteristic vectors of sigma and tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._bits import iter_vertices, mask_of, popcount, submasks, vertices_of
+from ._bits import Value, iter_vertices, mask_of, popcount, setfield, submasks, vertices_of
 from .homology import CubicalComplex
 from .simplicial import SimplicialComplex
 
 
-@dataclass(frozen=True)
-class CubicalCell:
+class CubicalCell(Value):
     """The cube between chi_sigma and chi_tau; free coordinates tau minus sigma."""
 
-    lower: int
-    upper: int
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if self.lower & ~self.upper:
+    def __init__(self, lower: int, upper: int) -> None:
+        if lower & ~upper:
             raise ValueError("lower vertex set must be contained in the upper one")
+        setfield(self, "lower", lower)
+        setfield(self, "upper", upper)
 
     @property
     def dim(self) -> int:

@@ -18,10 +18,10 @@ normal forms agree letterwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._bits import Value, setfield
 from .simplicial import SimplicialComplex
 
 KINDS = ("coxeter", "artin", "circulation")
@@ -29,25 +29,25 @@ KINDS = ("coxeter", "artin", "circulation")
 Letter = tuple[int, object]
 
 
-@dataclass(frozen=True)
-class CommutationGraph:
+class CommutationGraph(Value):
     """Symmetric adjacency on vertices 1..m, as a neighbor mask per vertex."""
 
-    m: int
-    adjacency: tuple[int, ...]
+    __slots__ = ("m", "adjacency")
 
-    def __post_init__(self) -> None:
-        if len(self.adjacency) != self.m + 1 or self.adjacency[0]:
+    def __init__(self, m: int, adjacency: tuple[int, ...]) -> None:
+        if len(adjacency) != m + 1 or adjacency[0]:
             raise ValueError("adjacency must have one mask per vertex, index 0 unused")
-        for v in range(1, self.m + 1):
-            mask = self.adjacency[v]
-            if mask >> self.m:
+        for v in range(1, m + 1):
+            mask = adjacency[v]
+            if mask >> m:
                 raise ValueError("neighbor out of range")
             if mask & (1 << (v - 1)):
                 raise ValueError("no loops allowed")
-            for w in range(1, self.m + 1):
-                if (mask >> (w - 1)) & 1 != (self.adjacency[w] >> (v - 1)) & 1:
+            for w in range(1, m + 1):
+                if (mask >> (w - 1)) & 1 != (adjacency[w] >> (v - 1)) & 1:
                     raise ValueError("adjacency must be symmetric")
+        setfield(self, "m", m)
+        setfield(self, "adjacency", adjacency)
 
     @classmethod
     def from_complex(cls, K: SimplicialComplex) -> "CommutationGraph":
@@ -100,11 +100,13 @@ def _invert_value(kind: str, a):
     return (1 - a) % 1
 
 
-@dataclass(frozen=True)
-class GroupWord:
-    kind: str
-    graph: CommutationGraph
-    letters: tuple[Letter, ...]
+class GroupWord(Value):
+    __slots__ = ("kind", "graph", "letters")
+
+    def __init__(self, kind: str, graph: CommutationGraph, letters: tuple[Letter, ...]) -> None:
+        setfield(self, "kind", kind)
+        setfield(self, "graph", graph)
+        setfield(self, "letters", letters)
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         _check_ambient(self, other)

@@ -9,8 +9,9 @@ bitset Gaussian elimination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
+
+from ._bits import Value, setfield
 
 Matrix = list[list[int]]
 
@@ -129,21 +130,21 @@ def gf2_rank(mat: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(Value):
     """A finitely generated abelian group Z^betti + sum of Z/d_i."""
 
-    betti: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("betti", "torsion")
 
-    def __post_init__(self) -> None:
-        if self.betti < 0:
+    def __init__(self, betti: int, torsion: tuple[int, ...] = ()) -> None:
+        if betti < 0:
             raise ValueError("negative Betti number")
         prev = 1
-        for d in self.torsion:
+        for d in torsion:
             if d <= 1 or d % prev:
-                raise ValueError(f"invalid torsion chain {self.torsion}")
+                raise ValueError(f"invalid torsion chain {torsion}")
             prev = d
+        setfield(self, "betti", betti)
+        setfield(self, "torsion", torsion)
 
     def is_trivial(self) -> bool:
         return self.betti == 0 and not self.torsion

@@ -13,28 +13,26 @@ subcomplexes, torsion included.  The cubical model's own homology
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._bits import iter_vertices, popcount, vertices_of
+from ._bits import Value, iter_vertices, popcount, setfield, vertices_of
 from .homology import CubicalComplex, HomologyGroup, invariant_factors
 from .simplicial import SimplicialComplex
 
 MAX_MA_VERTICES = 16
 
 
-@dataclass(frozen=True)
-class MACell:
+class MACell(Value):
     """Cube with free coordinates J; ``neg`` marks the -1 coordinates outside J."""
 
-    m: int
-    free: int
-    neg: int
+    __slots__ = ("m", "free", "neg")
 
-    def __post_init__(self) -> None:
-        if self.neg & self.free:
+    def __init__(self, m: int, free: int, neg: int) -> None:
+        if neg & free:
             raise ValueError("sign bits must avoid the free coordinates")
-        if (self.free | self.neg) >> self.m:
+        if (free | neg) >> m:
             raise ValueError("coordinate out of range")
+        setfield(self, "m", m)
+        setfield(self, "free", free)
+        setfield(self, "neg", neg)
 
     @property
     def dim(self) -> int:

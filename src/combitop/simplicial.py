@@ -7,10 +7,9 @@ downward closure is validated on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from ._bits import iter_vertices, mask_of, popcount, submasks, vertices_of
+from ._bits import Value, iter_vertices, mask_of, popcount, setfield, submasks, vertices_of
 
 MAX_VERTICES = 64
 
@@ -19,8 +18,22 @@ def _face_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (popcount(mask), vertices_of(mask))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+def facet_masks(m: int, maximal: Iterable[Iterable[int]]) -> list[int]:
+    """Masks of the given vertex subsets, each vertex checked against 1..m."""
+    if not 0 <= m <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {m}")
+    masks = []
+    for subset in maximal:
+        mask = 0
+        for v in subset:
+            if not 1 <= v <= m:
+                raise ValueError(f"vertex {v} out of range 1..{m}")
+            mask |= 1 << (v - 1)
+        masks.append(mask)
+    return masks
+
+
+class SimplicialComplex(Value):
     """A downward-closed family of subsets of {1..m}, as bitmasks.
 
     ``missing_face_masks()`` (minimal non-faces) and its dual
@@ -28,45 +41,40 @@ class SimplicialComplex:
     lookup, so each costs O(faces * m).
     """
 
-    m: int
-    face_masks: frozenset[int]
+    __slots__ = ("m", "face_masks")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.m <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.m}")
-        full = (1 << self.m) - 1
-        if 0 not in self.face_masks:
+    def __init__(self, m: int, face_masks: frozenset[int]) -> None:
+        if not 0 <= m <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {m}")
+        full = (1 << m) - 1
+        if 0 not in face_masks:
             raise ValueError("the empty face is missing")
-        for v in range(1, self.m + 1):
-            if (1 << (v - 1)) not in self.face_masks:
+        for v in range(1, m + 1):
+            if (1 << (v - 1)) not in face_masks:
                 raise ValueError(f"singleton {{{v}}} is missing")
-        for f in self.face_masks:
+        for f in face_masks:
             if f & ~full:
                 raise ValueError("face contains a vertex outside 1..m")
             # downward closure: dropping any one vertex stays a face
             rest = f
             while rest:
                 low = rest & -rest
-                if (f ^ low) not in self.face_masks:
+                if (f ^ low) not in face_masks:
                     raise ValueError("face family is not downward closed")
                 rest ^= low
+        setfield(self, "m", m)
+        setfield(self, "face_masks", face_masks)
 
     # -- construction ------------------------------------------------
 
     @classmethod
     def from_maximal_faces(cls, m: int, maximal: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Downward closure of the given subsets, plus all singletons and the empty face."""
-        if not 0 <= m <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {m}")
+        masks = facet_masks(m, maximal)
         faces = {0}
         for v in range(1, m + 1):
             faces.add(1 << (v - 1))
-        for subset in maximal:
-            mask = 0
-            for v in subset:
-                if not 1 <= v <= m:
-                    raise ValueError(f"vertex {v} out of range 1..{m}")
-                mask |= 1 << (v - 1)
+        for mask in masks:
             faces.update(submasks(mask))
         return cls(m, frozenset(faces))
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from ._bits import mask_of
+from ._bits import Value, mask_of, setfield
 from .simplicial import SimplicialComplex
 
 
@@ -30,20 +29,20 @@ class GradingMode(Enum):
         return 2 if self is GradingMode.COMPLEX else 1
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """Product of vertex generators, stored as (vertex, exponent) pairs in ascending order."""
 
-    powers: tuple[tuple[int, int], ...]
+    __slots__ = ("powers",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, powers: tuple[tuple[int, int], ...]) -> None:
         last = 0
-        for v, e in self.powers:
+        for v, e in powers:
             if v <= last:
                 raise ValueError("vertices must be strictly ascending")
             if e <= 0:
                 raise ValueError("exponents must be positive")
             last = v
+        setfield(self, "powers", powers)
 
     @classmethod
     def from_exponents(cls, exponents: dict[int, int]) -> "Monomial":
@@ -130,13 +129,15 @@ def monomial_basis(K: SimplicialComplex, mode: GradingMode, degree: int) -> list
     return out
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(Value):
     """Rational function numerator(t) / (1 - t^step)^denominator_power."""
 
-    numerator: tuple[int, ...]
-    denominator_power: int
-    step: int
+    __slots__ = ("numerator", "denominator_power", "step")
+
+    def __init__(self, numerator: tuple[int, ...], denominator_power: int, step: int) -> None:
+        setfield(self, "numerator", numerator)
+        setfield(self, "denominator_power", denominator_power)
+        setfield(self, "step", step)
 
     def coefficient(self, d: int) -> int:
         """Power-series coefficient of t^d, by exact expansion."""

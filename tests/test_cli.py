@@ -1,13 +1,19 @@
 import contextlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combitop import cli
 from combitop._bits import vertices_of
 from combitop.cli import emit_complex, main, parse_complex
 from combitop.simplicial import (
@@ -305,6 +311,32 @@ def test_ma_homology_too_many_vertices_exit_1(write_doc, capsys):
     doc = {"vertices": 17, "maximal_faces": []}
     code, _, err = run(capsys, ["ma-homology", write_doc(doc)])
     assert code == 1
+
+
+def test_large_facet_refused_exit_1(write_doc):
+    # 2^40 submasks: the estimate refuses the document before enumerating any
+    doc = {"vertices": 64, "maximal_faces": [list(range(1, 41)), [63, 64]]}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # a CLI that enumerates anyway fails on the 1 GiB cap or the timeout
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
+    done = subprocess.run(
+        [sys.executable, "-m", "combitop.cli", "info", write_doc(doc)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and f"up to {1 + 64 + 2**40 + 2**2} faces" in line
+
+
+def test_face_estimate_bound(write_doc, capsys, monkeypatch):
+    path = write_doc(BOUNDARY3)  # estimate 1 + 3 + 3 * 2^2 = 16
+    monkeypatch.setattr(cli, "MAX_FACE_ESTIMATE", 16)
+    assert run(capsys, ["info", path])[0] == 0
+    monkeypatch.setattr(cli, "MAX_FACE_ESTIMATE", 15)
+    code, out, err = run(capsys, ["info", path])
+    assert (code, out) == (1, "")
+    assert err == "error: complex too large: its maximal faces span up to 16 faces, more than 15\n"
 
 
 def test_bcat_cells(write_doc, capsys):

@@ -1,0 +1,20 @@
+"""The README's library quick tour runs and gives the results its comments state."""
+
+import re
+from pathlib import Path
+
+import combitop as ct
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_tour():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    ns: dict = {}
+    exec(block, ns)
+    K, w = ns["K"], ns["w"]
+    assert K.missing_faces() == [(1, 2, 3)]
+    assert not K.is_flag()
+    assert K.flagify() == ct.full_simplex(3)
+    assert ct.normal_form(w).letters == ((2, 1),)
+    assert ct.wordlength(w) == 1
