@@ -29,13 +29,7 @@ from .graphprod import (
     wordlength,
 )
 from .homology import ChainComplex, CubicalComplex, HomologyGroup, homology, smith_normal_form
-from .macomplex import (
-    MACell,
-    moment_angle_homology,
-    orbit_counts,
-    real_moment_angle,
-    stabilizer,
-)
+from .macomplex import moment_angle_homology, orbit_counts, real_moment_angle, stabilizer
 from .simplicial import (
     SimplicialComplex,
     discrete_complex,
@@ -66,7 +60,6 @@ __all__ = [
     "GroupWord",
     "HilbertSeries",
     "HomologyGroup",
-    "MACell",
     "Monomial",
     "SimplicialComplex",
     "abelianize",

@@ -30,6 +30,11 @@ from .simplicial import MAX_VERTICES, SimplicialComplex, facet_masks
 #: Intel Xeon); 3.7 M faces took 18 s and 380 MB.
 MAX_FACE_ESTIMATE = 1 << 20
 
+#: Largest face-category model that ``bcat-cells`` builds, counted exactly as
+#: the sum of 2^|tau| over the faces tau.  Building 0.53 M cells takes 1.4 s and
+#: 68 MB, 1.06 M cells 2.7 s and 126 MB (Python 3.11, Intel Xeon).
+MAX_CUBICAL_CELLS = 1 << 20
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -221,6 +226,11 @@ def _text_ma_homology(p) -> list[str]:
 
 def _cmd_bcat_cells(args) -> dict:
     K, _ = parse_complex(args.path)
+    cells = sum(1 << popcount(f) for f in K.face_masks)
+    if cells > MAX_CUBICAL_CELLS:
+        raise CliError(
+            1, f"face-category model too large: {cells} cells, more than {MAX_CUBICAL_CELLS}"
+        )
     model = facecat.cubical_model(K)
     return {
         "cells_by_dimension": list(model.cell_counts()),

@@ -1,20 +1,27 @@
 """The face category of a complex and its cubical classifying-space model.
 
 Objects are the faces together with the empty face; morphisms are
-inclusions.  The classifying space embeds in the unit cube I^m: its cells
-are the pairs sigma <= tau with tau a face (or empty), spanning the
-subcube between the characteristic vectors of sigma and tau.
+inclusions.  Both cubical models in the package are polyhedral products,
+sets of cubes ``lower <= upper`` in {0,1}^m: the coordinates in ``upper``
+minus ``lower`` are free, those in ``lower`` sit at 1 and the rest at 0.
+The classifying space is (I, 0)^K, the cubes whose ``upper`` is a face or
+empty, so its cells are the pairs sigma <= tau of faces.  The real
+moment-angle complex (``macomplex``) is (D^1, S^0)^K, the cubes whose free
+set is a face.
 """
 
 from __future__ import annotations
 
-from ._bits import Value, iter_vertices, mask_of, popcount, setfield, submasks, vertices_of
+from operator import attrgetter
+from typing import Iterable
+
+from ._bits import Value, mask_of, popcount, setfield, submasks, vertices_of
 from .homology import CubicalComplex
 from .simplicial import SimplicialComplex
 
 
 class CubicalCell(Value):
-    """The cube between chi_sigma and chi_tau; free coordinates tau minus sigma."""
+    """The cube between chi_lower and chi_upper; free coordinates upper minus lower."""
 
     __slots__ = ("lower", "upper")
 
@@ -28,14 +35,41 @@ class CubicalCell(Value):
     def dim(self) -> int:
         return popcount(self.upper & ~self.lower)
 
+    def free_vertices(self) -> tuple[int, ...]:
+        return vertices_of(self.upper & ~self.lower)
+
     def lower_vertices(self) -> tuple[int, ...]:
         return vertices_of(self.lower)
 
     def upper_vertices(self) -> tuple[int, ...]:
         return vertices_of(self.upper)
 
+    def boundary(self) -> list[tuple[int, CubicalCell]]:
+        """Signed facets: each free coordinate fixed at 1 (+) and at 0 (-), signs alternating."""
+        lower, upper = self.lower, self.upper
+        terms = []
+        sign = 1
+        free = upper & ~lower
+        while free:
+            bit = free & -free
+            terms.append((sign, CubicalCell(lower | bit, upper)))
+            terms.append((-sign, CubicalCell(lower, upper ^ bit)))
+            sign = -sign
+            free ^= bit
+        return terms
+
     def __repr__(self) -> str:
         return f"CubicalCell({set(self.lower_vertices()) or '{}'} <= {set(self.upper_vertices()) or '{}'})"
+
+
+def cube_complex(cells: Iterable[CubicalCell]) -> CubicalComplex:
+    """The cubes as a cell complex: bucketed by dimension, each bucket sorted."""
+    by_dim: dict[int, list[CubicalCell]] = {}
+    for cell in cells:
+        by_dim.setdefault(cell.dim, []).append(cell)
+    key = attrgetter("upper", "lower")
+    cells_by_dim = [sorted(by_dim.get(k, []), key=key) for k in range(max(by_dim) + 1)]
+    return CubicalComplex(cells_by_dim, CubicalCell.boundary)
 
 
 def object_count(K: SimplicialComplex) -> int:
@@ -47,43 +81,18 @@ def chain_count(K: SimplicialComplex, n: int) -> int:
     """Strictly increasing chains sigma_0 < ... < sigma_n of faces (incl. empty)."""
     if n < 0:
         raise ValueError("chain length must be >= 0")
-    faces = sorted(K.face_masks, key=popcount)
-    if n == 0:
-        return len(faces)
-    counts = {f: 1 for f in faces}
+    # counts[f]: chains ending at f.  A chain one step longer ending at f
+    # extends a chain ending at a proper submask of f, and every submask of
+    # a face is a face.
+    counts = dict.fromkeys(K.face_masks, 1)
     for _ in range(n):
-        nxt = {}
-        for f in faces:
-            total = 0
-            for g in faces:
-                if g != f and g & f == g:
-                    total += counts[g]
-            nxt[f] = total
-        counts = nxt
+        counts = {f: sum(counts[g] for g in submasks(f)) - c for f, c in counts.items()}
     return sum(counts.values())
-
-
-def _cube_boundary(cell: CubicalCell) -> list[tuple[int, CubicalCell]]:
-    terms = []
-    sign = 1
-    for v in iter_vertices(cell.upper & ~cell.lower):
-        bit = 1 << (v - 1)
-        terms.append((sign, CubicalCell(cell.lower | bit, cell.upper)))
-        terms.append((-sign, CubicalCell(cell.lower, cell.upper & ~bit)))
-        sign = -sign
-    return terms
 
 
 def cubical_model(K: SimplicialComplex) -> CubicalComplex:
     """All cells (sigma, tau) with sigma <= tau in K union {empty}."""
-    by_dim: dict[int, list[CubicalCell]] = {}
-    for tau in K.face_masks:
-        for sigma in submasks(tau):
-            cell = CubicalCell(sigma, tau)
-            by_dim.setdefault(cell.dim, []).append(cell)
-    top = max(by_dim)
-    cells = [sorted(by_dim.get(k, []), key=lambda c: (c.upper, c.lower)) for k in range(top + 1)]
-    return CubicalComplex(cells, _cube_boundary)
+    return cube_complex(CubicalCell(sigma, tau) for tau in K.face_masks for sigma in submasks(tau))
 
 
 def face_subcomplex(K: SimplicialComplex, sigma) -> set[CubicalCell]:

@@ -1,9 +1,10 @@
 """The real moment-angle complex of K inside [-1,1]^m.
 
-Its cubical model has a cell (J, signs) for each face J of K spanning the
-free coordinates and each choice of +-1 for the coordinates outside J.  The
-sign-flip action of C2^m permutes cells; coordinate i fixes a cell exactly
-when i lies in J.
+Read through x -> (x+1)/2, it is the polyhedral product (D^1, S^0)^K: the
+cubes ``CubicalCell(lower, upper)`` of ``facecat`` whose free set ``upper``
+minus ``lower`` is a face J of K.  A coordinate in ``lower`` sits at +1 and
+one outside ``upper`` at -1.  The sign-flip action of C2^m permutes cells;
+coordinate i fixes a cell exactly when i is free.
 
 Homology comes from the real stable splitting instead of the cubical
 chains: H_i = sum over W of the reduced homology H~_{i-1}(K_W) of the full
@@ -13,56 +14,12 @@ subcomplexes, torsion included.  The cubical model's own homology
 
 from __future__ import annotations
 
-from ._bits import Value, iter_vertices, popcount, setfield, vertices_of
+from ._bits import popcount, submasks
+from .facecat import CubicalCell, cube_complex
 from .homology import CubicalComplex, HomologyGroup, invariant_factors
 from .simplicial import SimplicialComplex
 
 MAX_MA_VERTICES = 16
-
-
-class MACell(Value):
-    """Cube with free coordinates J; ``neg`` marks the -1 coordinates outside J."""
-
-    __slots__ = ("m", "free", "neg")
-
-    def __init__(self, m: int, free: int, neg: int) -> None:
-        if neg & free:
-            raise ValueError("sign bits must avoid the free coordinates")
-        if (free | neg) >> m:
-            raise ValueError("coordinate out of range")
-        setfield(self, "m", m)
-        setfield(self, "free", free)
-        setfield(self, "neg", neg)
-
-    @property
-    def dim(self) -> int:
-        return popcount(self.free)
-
-    def free_vertices(self) -> tuple[int, ...]:
-        return vertices_of(self.free)
-
-    def signs(self) -> dict[int, int]:
-        fixed = ((1 << self.m) - 1) & ~self.free
-        return {v: -1 if self.neg & (1 << (v - 1)) else 1 for v in iter_vertices(fixed)}
-
-    def __repr__(self) -> str:
-        sgn = "".join(
-            "*" if self.free & (1 << i) else ("-" if self.neg & (1 << i) else "+")
-            for i in range(self.m)
-        )
-        return f"MACell({sgn})"
-
-
-def _ma_boundary(cell: MACell) -> list[tuple[int, MACell]]:
-    terms = []
-    sign = 1
-    for v in iter_vertices(cell.free):
-        bit = 1 << (v - 1)
-        rest = cell.free & ~bit
-        terms.append((sign, MACell(cell.m, rest, cell.neg)))
-        terms.append((-sign, MACell(cell.m, rest, cell.neg | bit)))
-        sign = -sign
-    return terms
 
 
 def _check_vertex_cap(K: SimplicialComplex) -> None:
@@ -73,26 +30,12 @@ def _check_vertex_cap(K: SimplicialComplex) -> None:
 
 
 def real_moment_angle(K: SimplicialComplex) -> CubicalComplex:
-    """All cells (J, signs) with J a face of K."""
+    """The cubes plus <= plus | J for J a face of K and plus the +1 coordinates outside J."""
     _check_vertex_cap(K)
     full = (1 << K.m) - 1
-    by_dim: dict[int, list[MACell]] = {}
-    for J in K.face_masks:
-        fixed = full & ~J
-        k = popcount(J)
-        bucket = by_dim.setdefault(k, [])
-        neg_bits = vertices_of(fixed)
-        for choice in range(1 << len(neg_bits)):
-            neg = 0
-            for i, v in enumerate(neg_bits):
-                if choice & (1 << i):
-                    neg |= 1 << (v - 1)
-            bucket.append(MACell(K.m, J, neg))
-    top = max(by_dim) if by_dim else 0
-    cells = [
-        sorted(by_dim.get(k, []), key=lambda c: (c.free, c.neg)) for k in range(top + 1)
-    ]
-    return CubicalComplex(cells, _ma_boundary)
+    return cube_complex(
+        CubicalCell(plus, plus | J) for J in K.face_masks for plus in submasks(full & ~J)
+    )
 
 
 def _simplex_boundary(face: int) -> list[tuple[int, int]]:
@@ -155,17 +98,17 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
     return [HomologyGroup(b, invariant_factors(t)) for b, t in zip(betti, torsion)]
 
 
-def stabilizer(cell: MACell) -> tuple[int, ...]:
+def stabilizer(cell: CubicalCell) -> tuple[int, ...]:
     """Coordinates acting trivially on the cell: exactly its free vertex set."""
     return cell.free_vertices()
 
 
-def act(cell: MACell, generator: int) -> MACell:
+def act(cell: CubicalCell, generator: int) -> CubicalCell:
     """Apply the sign flip in coordinate ``generator``."""
     bit = 1 << (generator - 1)
-    if cell.free & bit:
+    if cell.upper & ~cell.lower & bit:
         return cell
-    return MACell(cell.m, cell.free, cell.neg ^ bit)
+    return CubicalCell(cell.lower ^ bit, cell.upper ^ bit)
 
 
 def orbit_counts(K: SimplicialComplex) -> tuple[int, ...]:

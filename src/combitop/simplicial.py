@@ -36,9 +36,10 @@ def facet_masks(m: int, maximal: Iterable[Iterable[int]]) -> list[int]:
 class SimplicialComplex(Value):
     """A downward-closed family of subsets of {1..m}, as bitmasks.
 
-    ``missing_face_masks()`` (minimal non-faces) and its dual
-    ``maximal_face_masks()`` (facets) both test one-vertex extensions by set
-    lookup, so each costs O(faces * m).
+    ``maximal_face_masks()`` (facets) tests one-vertex extensions by set
+    lookup, O(faces * m).  Its dual ``missing_face_masks()`` (minimal
+    non-faces) works from the mask of extending vertices of each face, with
+    O(faces * dim) lookups and no candidate set.
     """
 
     __slots__ = ("m", "face_masks")
@@ -119,27 +120,34 @@ class SimplicialComplex(Value):
     # -- missing faces and flag structure ----------------------------
 
     def missing_face_masks(self) -> set[int]:
-        """Minimal non-faces: W not a face whose codimension-1 subsets all are."""
-        candidates = set()
-        for f in self.face_masks:
-            for v in range(self.m):
-                bit = 1 << v
-                if not f & bit:
-                    cand = f | bit
-                    if cand not in self.face_masks:
-                        candidates.add(cand)
-        out = set()
-        for cand in candidates:
-            rest = cand
-            minimal = True
+        """Minimal non-faces: W not a face whose codimension-1 subsets all are.
+
+        Each W comes once, as f | v for the face f = W minus its top vertex v:
+        v does not extend f to a face but extends f minus any one vertex.
+        """
+        faces = self.face_masks
+        # ext[f]: the vertices v outside f with f | v a face
+        ext = dict.fromkeys(faces, 0)
+        for f in faces:
+            rest = f
             while rest:
                 low = rest & -rest
-                if (cand ^ low) not in self.face_masks:
-                    minimal = False
-                    break
+                ext[f ^ low] |= low
                 rest ^= low
-            if minimal:
-                out.add(cand)
+        full = (1 << self.m) - 1
+        out = set()
+        for f in faces:
+            above = f.bit_length()
+            cand = full >> above << above & ~ext[f]
+            rest = f
+            while rest:
+                low = rest & -rest
+                cand &= ext[f ^ low]
+                rest ^= low
+            while cand:
+                low = cand & -cand
+                out.add(f | low)
+                cand ^= low
         return out
 
     def maximal_face_masks(self) -> set[int]:

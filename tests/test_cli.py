@@ -329,6 +329,32 @@ def test_large_facet_refused_exit_1(write_doc):
     assert line.startswith("error: ") and f"up to {1 + 64 + 2**40 + 2**2} faces" in line
 
 
+def test_large_face_category_model_refused_exit_1(write_doc):
+    # 2^19 faces pass the parse bound, but the model has 3^19 cells
+    doc = {"vertices": 19, "maximal_faces": [list(range(1, 20))]}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # a CLI that builds the cells anyway fails on the 1 GiB cap or the timeout
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
+    done = subprocess.run(
+        [sys.executable, "-m", "combitop.cli", "bcat-cells", write_doc(doc)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and f"{3**19} cells" in line
+
+
+def test_face_category_cell_bound(write_doc, capsys, monkeypatch):
+    path = write_doc(BOUNDARY3)  # 1 + 3 * 2 + 3 * 4 = 19 cells
+    monkeypatch.setattr(cli, "MAX_CUBICAL_CELLS", 19)
+    assert run(capsys, ["bcat-cells", path])[0] == 0
+    monkeypatch.setattr(cli, "MAX_CUBICAL_CELLS", 18)
+    code, out, err = run(capsys, ["bcat-cells", path])
+    assert (code, out) == (1, "")
+    assert err == "error: face-category model too large: 19 cells, more than 18\n"
+
+
 def test_face_estimate_bound(write_doc, capsys, monkeypatch):
     path = write_doc(BOUNDARY3)  # estimate 1 + 3 + 3 * 2^2 = 16
     monkeypatch.setattr(cli, "MAX_FACE_ESTIMATE", 16)

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from combitop.connectivity import connectivity_report
+from combitop.facecat import CubicalCell, cubical_model
 from combitop.homology import HomologyGroup
 from combitop.macomplex import (
-    MACell,
     act,
     moment_angle_homology,
     orbit_counts,
@@ -23,13 +23,6 @@ from oracles import small_complexes
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)
-
-
-def test_cell_validation():
-    with pytest.raises(ValueError):
-        MACell(3, 0b001, 0b001)
-    with pytest.raises(ValueError):
-        MACell(2, 0b001, 0b100)
 
 
 def test_full_simplex_on_two_vertices_is_square():
@@ -100,11 +93,13 @@ def test_stabilizer_is_free_coordinate_set():
 
 
 def test_stabilizer_examples():
-    cell = MACell(3, 0, 0b101)
+    # the vertex (-1, +1, -1) of [-1,1]^3: coordinate 2 sits at +1
+    cell = CubicalCell(0b010, 0b010)
     assert stabilizer(cell) == ()
-    top = MACell(3, 0b111, 0)
+    top = CubicalCell(0, 0b111)
     assert stabilizer(top) == (1, 2, 3)
-    edge = MACell(3, 0b011, 0b100)
+    # free in 1 and 2, coordinate 3 at -1
+    edge = CubicalCell(0, 0b011)
     assert stabilizer(edge) == (1, 2)
 
 
@@ -121,8 +116,6 @@ def test_orbit_stabilizer_sum(test_complexes):
 
 
 def test_action_permutes_cells_respecting_boundary(test_complexes):
-    from combitop.macomplex import _ma_boundary
-
     for K in test_complexes[:6]:
         model = real_moment_angle(K)
         cells = set(model.all_cells())
@@ -130,13 +123,13 @@ def test_action_permutes_cells_respecting_boundary(test_complexes):
             for cell in cells:
                 image = act(cell, v)
                 assert image in cells
-                got = {c for _, c in _ma_boundary(image)}
-                expected = {act(c, v) for _, c in _ma_boundary(cell)}
+                got = {c for _, c in image.boundary()}
+                expected = {act(c, v) for _, c in cell.boundary()}
                 assert got == expected
                 if v not in stabilizer(cell):
                     # moving a fixed coordinate keeps all signs intact
-                    signed = {(s, act(c, v)) for s, c in _ma_boundary(cell)}
-                    assert set(_ma_boundary(image)) == signed
+                    signed = {(s, act(c, v)) for s, c in cell.boundary()}
+                    assert set(image.boundary()) == signed
 
 
 def test_connectivity_vanishing(test_complexes):
@@ -189,3 +182,35 @@ def test_splitting_matches_cubical_model(K):
     # torsion and trailing zero groups included
     for mod2 in (False, True):
         assert moment_angle_homology(K, mod2) == real_moment_angle(K).homology(mod2=mod2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(small_complexes())
+@example(polygon_boundary(5))
+def test_models_are_polyhedral_products(K):
+    # both models against every cube lower <= upper of {0,1}^m: (I, 0)^K
+    # keeps the cubes with upper a face, (D^1, S^0)^K those with a face as
+    # free set
+    pairs = [
+        (lower, upper)
+        for upper in range(1 << K.m)
+        for lower in range(1 << K.m)
+        if not lower & ~upper
+    ]
+    cone = cubical_model(K)
+    assert cone.cell_count() == len(set(cone.all_cells()))
+    assert set(cone.all_cells()) == {
+        CubicalCell(lower, upper) for lower, upper in pairs if upper in K.face_masks
+    }
+    model = real_moment_angle(K)
+    cells = set(model.all_cells())
+    assert model.cell_count() == len(cells)
+    assert cells == {
+        CubicalCell(lower, upper) for lower, upper in pairs if upper & ~lower in K.face_masks
+    }
+    for X in (cone, model):
+        for k in range(X.dimension + 1):
+            assert all(cell.dim == k for cell in X.cells(k))
+    for cell in cells:
+        for v in range(1, K.m + 1):
+            assert act(act(cell, v), v) == cell

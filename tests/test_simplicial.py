@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from combitop.simplicial import (
     SimplicialComplex,
@@ -16,6 +17,7 @@ from oracles import (
     brute_missing_faces,
     face_sets,
     random_complexes,
+    small_complexes,
 )
 
 
@@ -69,6 +71,12 @@ def test_missing_faces_match_brute_force(test_complexes):
     for K in test_complexes:
         got = {frozenset(w) for w in K.missing_faces()}
         assert got == brute_missing_faces(K)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_complexes(max_m=10))
+def test_missing_faces_match_brute_force_drawn(K):
+    assert {frozenset(w) for w in K.missing_faces()} == brute_missing_faces(K)
 
 
 def test_is_flag_examples():

@@ -17,7 +17,6 @@ from combitop import (
     GroupWord,
     HilbertSeries,
     HomologyGroup,
-    MACell,
     Monomial,
     SimplicialComplex,
 )
@@ -34,7 +33,6 @@ VALUES = [
     (CommutationGraph, {"m": 2, "adjacency": (0, 2, 1)}, {}),
     (GroupWord, {"kind": "artin", "graph": EDGE, "letters": ((1, 1), (2, -1))}, {}),
     (HomologyGroup, {"betti": 1, "torsion": (2,)}, {"torsion": ()}),
-    (MACell, {"m": 2, "free": 1, "neg": 2}, {}),
     (Monomial, {"powers": ((1, 2), (3, 1))}, {}),
     (HilbertSeries, {"numerator": (1, 3), "denominator_power": 2, "step": 1}, {}),
 ]
@@ -45,11 +43,10 @@ INVALID = [
     (CubicalCell, {"lower": 2, "upper": 1}),
     (CommutationGraph, {"m": 2, "adjacency": (0, 2, 0)}),
     (HomologyGroup, {"betti": -1}),
-    (MACell, {"m": 2, "free": 1, "neg": 1}),
     (Monomial, {"powers": ((2, 1), (1, 1))}),
 ]
 
-OWN_REPR = (SimplicialComplex, CubicalCell, MACell)
+OWN_REPR = (SimplicialComplex, CubicalCell)
 
 
 def _ids(params):
