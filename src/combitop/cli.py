@@ -35,6 +35,12 @@ MAX_FACE_ESTIMATE = 1 << 20
 #: 68 MB, 1.06 M cells 2.7 s and 126 MB (Python 3.11, Intel Xeon).
 MAX_CUBICAL_CELLS = 1 << 20
 
+#: Largest monomial basis that ``sr-basis`` enumerates, counted exactly as the
+#: Hilbert series coefficient in the requested degree.  Enumerating 0.35 M
+#: monomials takes 1.7 s and 243 MB, 0.71 M 3.6 s and 486 MB (Python 3.11,
+#: Intel Xeon), before the output is rendered.
+MAX_BASIS_MONOMIALS = 1 << 20
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -113,7 +119,8 @@ def _fmt_set(vertices) -> str:
 
 def _cmd_info(args) -> dict:
     K, name = parse_complex(args.path)
-    report = conn.connectivity_report(K)
+    missing = K.missing_faces()
+    report = conn.connectivity_report(K, missing)
     return {
         "name": name,
         "vertices": K.m,
@@ -121,7 +128,7 @@ def _cmd_info(args) -> dict:
         "f_vector": list(K.f_vector()),
         "face_count": facecat.object_count(K),
         "flag": report.flag,
-        "missing_faces": [list(w) for w in K.missing_faces()],
+        "missing_faces": [list(w) for w in missing],
         "c": _fmt_num(report.c),
         "c_prime": _fmt_num(report.c_prime),
         "d": {k: _fmt_num(v) for k, v in report.d.items()},
@@ -179,7 +186,13 @@ def _cmd_sr_basis(args) -> list:
     K, _ = parse_complex(args.path)
     if args.degree < 0:
         raise CliError(2, f"--degree must be >= 0, got {args.degree}")
-    basis = sralg.monomial_basis(K, sralg.GradingMode(args.mode), args.degree)
+    mode = sralg.GradingMode(args.mode)
+    count = sralg.hilbert_series(K, mode).coefficient(args.degree)
+    if count > MAX_BASIS_MONOMIALS:
+        raise CliError(
+            1, f"monomial basis too large: {count} monomials, more than {MAX_BASIS_MONOMIALS}"
+        )
+    basis = sralg.monomial_basis(K, mode, args.degree)
     return [[list(p) for p in mono.powers] for mono in basis]
 
 
@@ -199,14 +212,16 @@ def _parse_words(args, *texts) -> list[graphprod.GroupWord]:
 
 
 def _cmd_word_reduce(args) -> dict:
-    nf = graphprod.normal_form(*_parse_words(args, args.word))
+    (w,) = _parse_words(args, args.word)
+    blocks = graphprod.cartier_foata_blocks(w)
+
+    def fmt(letters) -> str:
+        return graphprod.format_word(graphprod.GroupWord(w.kind, w.graph, tuple(letters)))
+
     return {
-        "word": graphprod.format_word(nf),
-        "length": graphprod.wordlength(nf),
-        "blocks": [
-            graphprod.format_word(graphprod.GroupWord(nf.kind, nf.graph, block))
-            for block in graphprod.cartier_foata_blocks(nf)
-        ],
+        "word": fmt(letter for block in blocks for letter in block),
+        "length": sum(len(block) for block in blocks),
+        "blocks": [fmt(block) for block in blocks],
     }
 
 

@@ -10,8 +10,9 @@ circulation.  Infinity is represented by ``math.inf``.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-from ._bits import Value, popcount, setfield
+from ._bits import Value, setfield
 from .simplicial import SimplicialComplex
 
 
@@ -37,8 +38,13 @@ class ConnectivityReport(Value):
         return derived_degrees(self.c_prime)
 
 
-def connectivity_report(K: SimplicialComplex) -> ConnectivityReport:
-    dims = [popcount(w) - 1 for w in K.missing_face_masks()]
+def connectivity_report(
+    K: SimplicialComplex, missing_faces: Sequence[tuple[int, ...]] | None = None
+) -> ConnectivityReport:
+    """The report of K; ``missing_faces`` may pass ``K.missing_faces()`` if already computed."""
+    if missing_faces is None:
+        missing_faces = K.missing_faces()
+    dims = [len(w) - 1 for w in missing_faces]
     c = min((d for d in dims if d >= 2), default=math.inf)
     c_prime = min(dims, default=math.inf)
     return ConnectivityReport(c=c, c_prime=c_prime, flag=c == math.inf)

@@ -10,9 +10,9 @@ Three kinds are supported, differing only in the vertex group:
 Words are sequences of (vertex, value) letters; letters at vertices joined
 by an edge commute.  ``normal_form`` merges letters at equal vertices
 whenever the letters between them commute past, then fixes a canonical
-order: peel off maximal mutually-commuting blocks from the right and sort
-each block by vertex.  Two words are equal in the group exactly when their
-normal forms agree letterwise.
+order: the Cartier-Foata blocks, which are the levels of the word's heap
+(Viennot), each sorted by vertex.  Two words are equal in the group exactly
+when their normal forms agree letterwise.
 """
 
 from __future__ import annotations
@@ -176,32 +176,32 @@ def _fully_reduce(kind: str, adj: tuple[int, ...], letters: list[Letter]) -> lis
 
 
 def _block_split(adj: tuple[int, ...], letters: Sequence[Letter]) -> list[list[Letter]]:
-    """Peel maximal commuting blocks off the right end; leftmost block first."""
-    blocks: list[list[Letter]] = []
-    rest = list(letters)
-    while rest:
-        seen = 0
-        block: list[Letter] = []
-        keep: list[Letter] = []
-        for letter in reversed(rest):
-            v = letter[0]
-            if seen & ~adj[v] == 0:
-                block.append(letter)
-            else:
-                keep.append(letter)
-            seen |= 1 << (v - 1)
-        block.sort()
-        keep.reverse()
-        blocks.append(block)
-        rest = keep
-    blocks.reverse()
-    return blocks
+    """Cartier-Foata blocks of a reduced word: the levels of its heap, leftmost first.
+
+    Scanning from the right, each letter lands one level above the highest
+    level holding a vertex it does not commute with (its own included).
+    """
+    levels: list[list[Letter]] = []
+    masks: list[int] = []
+    for letter in reversed(letters):
+        v = letter[0]
+        blockers = ~adj[v]
+        top = len(masks)
+        while top and not masks[top - 1] & blockers:
+            top -= 1
+        if top == len(masks):
+            levels.append([])
+            masks.append(0)
+        levels[top].append(letter)
+        masks[top] |= 1 << (v - 1)
+    for level in levels:
+        level.sort()
+    levels.reverse()
+    return levels
 
 
 def normal_form(w: GroupWord) -> GroupWord:
-    reduced = _fully_reduce(w.kind, w.graph.adjacency, list(w.letters))
-    blocks = _block_split(w.graph.adjacency, reduced)
-    flat = tuple(letter for block in blocks for letter in block)
+    flat = tuple(letter for block in cartier_foata_blocks(w) for letter in block)
     return GroupWord(w.kind, w.graph, flat)
 
 
@@ -212,7 +212,7 @@ def equal(w1: GroupWord, w2: GroupWord) -> bool:
 
 def wordlength(w: GroupWord) -> int:
     """Syllable count of the reduced word."""
-    return len(normal_form(w).letters)
+    return len(_fully_reduce(w.kind, w.graph.adjacency, list(w.letters)))
 
 
 def cartier_foata_blocks(w: GroupWord) -> list[tuple[Letter, ...]]:

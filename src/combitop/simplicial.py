@@ -1,8 +1,10 @@
 """Finite abstract simplicial complexes on vertices 1..m.
 
 Faces are stored as bitmasks over the vertex set (m <= 64).  Every complex
-contains the empty face and all singletons; constructors enforce both, and
-downward closure is validated on construction.
+contains the empty face and all singletons; constructors enforce both.
+``SimplicialComplex(m, masks)`` validates downward closure; the builders whose
+families are closed by construction (``from_maximal_faces``, ``flagify``) skip
+that check.
 """
 
 from __future__ import annotations
@@ -77,7 +79,15 @@ class SimplicialComplex(Value):
             faces.add(1 << (v - 1))
         for mask in masks:
             faces.update(submasks(mask))
-        return cls(m, frozenset(faces))
+        return cls._closed(m, frozenset(faces))
+
+    @classmethod
+    def _closed(cls, m: int, face_masks: frozenset[int]) -> "SimplicialComplex":
+        """A complex from a family that is downward closed by construction, unchecked."""
+        K = cls.__new__(cls)
+        setfield(K, "m", m)
+        setfield(K, "face_masks", face_masks)
+        return K
 
     # -- basic queries -----------------------------------------------
 
@@ -179,7 +189,7 @@ class SimplicialComplex(Value):
                 v = low.bit_length()
                 stack.append((mask | low, common & adj[v]))
                 ext ^= low
-        return SimplicialComplex(self.m, frozenset(cliques))
+        return SimplicialComplex._closed(self.m, frozenset(cliques))
 
     # -- derived complexes -------------------------------------------
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from enum import Enum
 
-from ._bits import Value, mask_of, setfield
+from ._bits import Value, mask_of, popcount, setfield
 from .simplicial import SimplicialComplex
 
 
@@ -188,7 +188,7 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 def hilbert_series(K: SimplicialComplex, mode: GradingMode) -> HilbertSeries:
     """Generating function of basis-monomial counts by degree."""
-    sizes = [len(f) for f in K.faces()]
+    sizes = [popcount(f) for f in K.face_masks]
     top = max(sizes)
     g = mode.generator_degree
     if mode is GradingMode.EXTERIOR:

@@ -202,6 +202,30 @@ def single_moves(kind: str, adj: tuple[int, ...], w: tuple) -> list[tuple]:
     return out
 
 
+def brute_block_split(adj: tuple[int, ...], letters) -> list[list]:
+    """Cartier-Foata blocks by peeling: the letters commuting with everything to
+    their right form the last block; repeat on the rest.  Leftmost block first."""
+    blocks = []
+    rest = list(letters)
+    while rest:
+        seen = 0
+        block = []
+        keep = []
+        for letter in reversed(rest):
+            v = letter[0]
+            if seen & ~adj[v] == 0:
+                block.append(letter)
+            else:
+                keep.append(letter)
+            seen |= 1 << (v - 1)
+        block.sort()
+        keep.reverse()
+        blocks.append(block)
+        rest = keep
+    blocks.reverse()
+    return blocks
+
+
 class RewritingOracle:
     """Equality via the reflexive-symmetric-transitive closure of single moves.
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import resource
@@ -248,6 +249,25 @@ def test_word_reduce_blocks_json(write_doc, capsys):
     assert payload["length"] == 3
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_word_reduce_normalises_once(write_doc, capsys, monkeypatch, as_json):
+    from combitop import graphprod
+
+    calls = {"_fully_reduce": 0, "_block_split": 0}
+    for name in calls:
+        real = getattr(graphprod, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(graphprod, name, counting)
+    argv = ["word-reduce", "--group", "artin", write_doc(SQUARE), "v2^1 v1^1 v3^1 v2^-1 v4^2"]
+    code, out, _ = run(capsys, ["--json", *argv] if as_json else argv)
+    assert code == 0 and out
+    assert calls == {"_fully_reduce": 1, "_block_split": 1}
+
+
 def test_word_reduce_identity(write_doc, capsys):
     code, out, _ = run(
         capsys, ["word-reduce", "--group", "coxeter", write_doc(SQUARE), "a1 a1"]
@@ -343,6 +363,34 @@ def test_large_face_category_model_refused_exit_1(write_doc):
     assert done.stdout == ""
     (line,) = done.stderr.splitlines()
     assert line.startswith("error: ") and f"{3**19} cells" in line
+
+
+def test_large_monomial_basis_refused_exit_1(write_doc):
+    # 4,096 faces pass the parse bound, but degree 16 has C(27, 11) monomials
+    doc = {"vertices": 12, "maximal_faces": [list(range(1, 13))]}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # a CLI that enumerates the basis anyway fails on the 1 GiB cap or the timeout
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
+    done = subprocess.run(
+        [sys.executable, "-m", "combitop.cli", "sr-basis", "--mode", "real", "--degree", "16",
+         write_doc(doc)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and f"{math.comb(27, 11)} monomials" in line
+
+
+def test_monomial_basis_bound(write_doc, capsys, monkeypatch):
+    path = write_doc(BOUNDARY3)  # degree 2, real: 3 squares + 3 edges = 6 monomials
+    argv = ["sr-basis", "--mode", "real", "--degree", "2", path]
+    monkeypatch.setattr(cli, "MAX_BASIS_MONOMIALS", 6)
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_BASIS_MONOMIALS", 5)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: monomial basis too large: 6 monomials, more than 5\n"
 
 
 def test_face_category_cell_bound(write_doc, capsys, monkeypatch):

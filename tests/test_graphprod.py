@@ -1,10 +1,18 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combitop.graphprod import (
+    KINDS,
     CommutationGraph,
+    GroupWord,
+    _block_split,
+    _fully_reduce,
     abelianize,
     cartier_foata_blocks,
     equal,
@@ -17,10 +25,11 @@ from combitop.graphprod import (
     word,
     wordlength,
 )
-from combitop.simplicial import full_simplex, polygon_boundary
+from combitop.simplicial import SimplicialComplex, full_simplex, polygon_boundary
 
 from oracles import (
     RewritingOracle,
+    brute_block_split,
     all_graphs,
     all_words,
     artin_alphabet,
@@ -160,6 +169,107 @@ def test_blocks_are_faces_when_flag():
             w = word("artin", g, random_word("artin", m, rng.randint(0, 10), rng))
             for block in cartier_foata_blocks(w):
                 assert K.has_face([v for v, _ in block])
+
+
+_LETTER_VALUES = {
+    "coxeter": st.just(1),
+    "artin": st.sampled_from([-2, -1, 1, 2]),
+    "circulation": st.builds(Fraction, st.integers(1, 5), st.integers(2, 7)),
+}
+
+
+@st.composite
+def reduced_words(draw):
+    """A graph on at most 10 vertices, a group kind, and a reduced word of at most 60 letters."""
+    m = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = CommutationGraph.from_edges(m, edges)
+    kind = draw(st.sampled_from(KINDS))
+    letter = st.tuples(st.integers(1, m), _LETTER_VALUES[kind])
+    w = word(kind, graph, draw(st.lists(letter, max_size=60)))
+    return graph.adjacency, _fully_reduce(kind, graph.adjacency, list(w.letters))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(reduced_words())
+def test_blocks_match_peeling_oracle(case):
+    adj, reduced = case
+    assert _block_split(adj, reduced) == brute_block_split(adj, reduced)
+
+
+def _series_inverse(a: list[int], n: int) -> list[int]:
+    """The first n coefficients of 1/a(t), for an integer series with a[0] == 1."""
+    inv = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        inv[k] = -sum(a[j] * inv[k - j] for j in range(1, k + 1))
+    return inv
+
+
+def _f_polynomial_at(f_vector: tuple[int, ...], c: int, n: int) -> list[int]:
+    """f_K(-c t/(1+t)) to order t^(n-1), where f_K(x) = sum_i f_(i-1) x^i and f_(-1) = 1."""
+    out = [1] + [0] * (n - 1)
+    for i, f in enumerate(f_vector, start=1):
+        # (-c t)^i (1+t)^(-i), with (1+t)^(-i) = sum_k (-1)^k C(i+k-1, k) t^k
+        for k in range(n - i):
+            out[i + k] += f * (-c) ** i * (-1) ** k * math.comb(i + k - 1, k)
+    return out
+
+
+def _sphere_sizes(kind: str, graph: CommutationGraph, generators, n: int) -> list[int]:
+    """Elements at each distance 0..n-1 from the identity, told apart by normal form."""
+    seen = {()}
+    layer = [()]
+    sizes = [1]
+    for _ in range(1, n):
+        nxt = []
+        for letters in layer:
+            for g in generators:
+                key = normal_form(GroupWord(kind, graph, letters + (g,))).letters
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(key)
+        sizes.append(len(nxt))
+        layer = nxt
+    return sizes
+
+
+def _growth_graphs():
+    named = [
+        pytest.param(2, [(1, 2)], id="edge"),
+        pytest.param(3, [], id="three-points"),
+        pytest.param(4, [(1, 2), (2, 3), (3, 4)], id="path"),
+        pytest.param(4, [(1, 2), (2, 3), (3, 4), (1, 4)], id="4-cycle"),
+        pytest.param(4, list(itertools.combinations(range(1, 5), 2)), id="K4"),
+        pytest.param(4, [(1, 2), (2, 3), (1, 3), (3, 4)], id="triangle-and-edge"),
+        pytest.param(5, [(i, i % 5 + 1) for i in range(1, 6)], id="5-cycle"),
+        pytest.param(6, [(i, i % 6 + 1) for i in range(1, 7)], id="6-cycle"),
+    ]
+    rng = random.Random(606)
+    for k, m in enumerate((5, 6, 6)):
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        edges = rng.sample(pairs, rng.randint(len(pairs) // 2, len(pairs)))
+        named.append(pytest.param(m, edges, id=f"random-{m}-{k}"))
+    return named
+
+
+@pytest.mark.parametrize("m, edges", _growth_graphs())
+def test_growth_series_matches_flag_f_vector(m, edges):
+    # for a flag K, the right-angled Coxeter group has growth series
+    # 1/f_K(-t/(1+t)) in the generators a_i, and the right-angled Artin group
+    # 1/f_K(-2t/(1+t)) in the generators v_i^(+1) and v_i^(-1)
+    n = 6
+    graph = CommutationGraph.from_edges(m, edges)
+    K = SimplicialComplex.from_maximal_faces(m, [list(e) for e in edges]).flagify()
+    f = K.f_vector()
+    coxeter = [(v, 1) for v in range(1, m + 1)]
+    assert _sphere_sizes("coxeter", graph, coxeter, n) == _series_inverse(
+        _f_polynomial_at(f, 1, n), n
+    )
+    artin = [(v, e) for v in range(1, m + 1) for e in (1, -1)]
+    assert _sphere_sizes("artin", graph, artin, n) == _series_inverse(
+        _f_polynomial_at(f, 2, n), n
+    )
 
 
 def test_abelianize_examples():

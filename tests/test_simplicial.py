@@ -54,6 +54,11 @@ def test_downward_closure_validated():
         SimplicialComplex(2, frozenset({0, 0b01, 0b10, 0b11}) - {0b01})
     with pytest.raises(ValueError):
         SimplicialComplex(2, frozenset({0, 0b01}))  # singleton {2} missing
+    # every vertex is present, but the triangle's edges are not
+    with pytest.raises(ValueError, match="not downward closed"):
+        SimplicialComplex(3, frozenset({0, 0b001, 0b010, 0b100, 0b111}))
+    with pytest.raises(ValueError, match="not downward closed"):
+        SimplicialComplex(4, frozenset({0, 1, 2, 4, 8, 0b0011, 0b1011}))
 
 
 def test_vertex_cap():
