@@ -28,7 +28,7 @@ from .graphprod import (
     word,
     wordlength,
 )
-from .homology import ChainComplex, CubicalComplex, HomologyGroup, homology, smith_normal_form
+from .homology import ChainComplex, CubicalComplex, HomologyGroup, smith_normal_form
 from .macomplex import moment_angle_homology, orbit_counts, real_moment_angle, stabilizer
 from .simplicial import (
     SimplicialComplex,
@@ -75,7 +75,6 @@ __all__ = [
     "flag_equivalence",
     "full_simplex",
     "hilbert_series",
-    "homology",
     "in_commutator_subgroup",
     "in_complement",
     "is_abelian_restriction",

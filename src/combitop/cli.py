@@ -241,7 +241,7 @@ def _text_ma_homology(p) -> list[str]:
 
 def _cmd_bcat_cells(args) -> dict:
     K, _ = parse_complex(args.path)
-    cells = sum(1 << popcount(f) for f in K.face_masks)
+    cells = 1 + sum(n << s for s, n in enumerate(K.f_vector(), 1))
     if cells > MAX_CUBICAL_CELLS:
         raise CliError(
             1, f"face-category model too large: {cells} cells, more than {MAX_CUBICAL_CELLS}"

@@ -71,33 +71,28 @@ class CommutationGraph(Value):
         return all(self.adjacent(a, b) for k, a in enumerate(vs) for b in vs[k + 1 :])
 
 
+#: Each kind's vertex group as Z/n: Z/2, Z (no modulus) and Q/Z.
+_MODULUS = {"coxeter": 2, "artin": None, "circulation": 1}
+
+
+def _reduce(kind: str, x) -> object | None:
+    """x as an element of the kind's vertex group, or None for the identity."""
+    n = _MODULUS[kind]
+    if n is not None:
+        x %= n
+    return x or None
+
+
 def _normalize_value(kind: str, value) -> object | None:
     """Canonical letter value, or None for the identity."""
     if kind == "coxeter":
         return 1
+    x = Fraction(value)
     if kind == "artin":
-        e = int(value)
-        return e if e else None
-    q = Fraction(value) % 1
-    return q if q else None
-
-
-def _combine(kind: str, a, b) -> object | None:
-    if kind == "coxeter":
-        return None
-    if kind == "artin":
-        s = a + b
-        return s if s else None
-    s = (a + b) % 1
-    return s if s else None
-
-
-def _invert_value(kind: str, a):
-    if kind == "coxeter":
-        return 1
-    if kind == "artin":
-        return -a
-    return (1 - a) % 1
+        if x.denominator != 1:
+            raise ValueError(f"artin exponent must be an integer, got {value!r}")
+        x = x.numerator
+    return _reduce(kind, x)
 
 
 class GroupWord(Value):
@@ -113,9 +108,7 @@ class GroupWord(Value):
         return GroupWord(self.kind, self.graph, self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        inv = tuple(
-            (v, _invert_value(self.kind, val)) for v, val in reversed(self.letters)
-        )
+        inv = tuple((v, _reduce(self.kind, -val)) for v, val in reversed(self.letters))
         return GroupWord(self.kind, self.graph, inv)
 
     def __len__(self) -> int:
@@ -160,7 +153,7 @@ def _fully_reduce(kind: str, adj: tuple[int, ...], letters: list[Letter]) -> lis
             for j in range(i + 1, n):
                 vj = letters[j][0]
                 if vj == v:
-                    merged = _combine(kind, letters[i][1], letters[j][1])
+                    merged = _reduce(kind, letters[i][1] + letters[j][1])
                     del letters[j]
                     if merged is None:
                         del letters[i]
@@ -223,20 +216,10 @@ def cartier_foata_blocks(w: GroupWord) -> list[tuple[Letter, ...]]:
 
 def abelianize(w: GroupWord):
     """Per-vertex letter totals: in Z/2, Z, or Q/Z according to the kind."""
-    if w.kind == "coxeter":
-        totals = [0] * (w.graph.m + 1)
-        for v, _ in w.letters:
-            totals[v] ^= 1
-        return tuple(totals[1:])
-    if w.kind == "artin":
-        sums = [0] * (w.graph.m + 1)
-        for v, e in w.letters:
-            sums[v] += e
-        return tuple(sums[1:])
-    fracs = [Fraction(0)] * (w.graph.m + 1)
-    for v, q in w.letters:
-        fracs[v] = (fracs[v] + q) % 1
-    return tuple(fracs[1:])
+    sums = [0] * (w.graph.m + 1)
+    for v, x in w.letters:
+        sums[v] += x
+    return tuple(_reduce(w.kind, x) or 0 for x in sums[1:])
 
 
 def in_commutator_subgroup(w: GroupWord) -> bool:

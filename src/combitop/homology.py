@@ -225,10 +225,6 @@ class ChainComplex:
         return out
 
 
-def homology(complex_: ChainComplex, mod2: bool = False) -> list[HomologyGroup]:
-    return complex_.homology(mod2=mod2)
-
-
 class CubicalComplex:
     """A finite complex of abstract cells with a signed boundary map.
 

@@ -72,14 +72,7 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
     """
     _check_vertex_cap(K)
     faces = sorted(K.face_masks, key=popcount)
-    # cone[f]: f and every vertex that extends f to a face
-    cone = {}
-    for f in faces:
-        c = f
-        for v in range(K.m):
-            if f | (1 << v) in K.face_masks:
-                c |= 1 << v
-        cone[f] = c
+    ext = K.extension_masks()
     top = popcount(faces[-1])
     betti = [1] + [0] * top
     torsion: list[list[int]] = [[] for _ in range(top + 1)]
@@ -89,7 +82,7 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
         sub = [f for f in faces if not f & ~W]
         apex = W
         for f in sub:
-            apex &= cone[f]
+            apex &= f | ext[f]
         if apex:
             continue
         for s, g in enumerate(_augmented_chains(sub).homology(mod2=mod2)):
@@ -113,8 +106,4 @@ def act(cell: CubicalCell, generator: int) -> CubicalCell:
 
 def orbit_counts(K: SimplicialComplex) -> tuple[int, ...]:
     """Number of sign-flip orbits of k-cells: the faces of K of size k."""
-    top = max(popcount(J) for J in K.face_masks)
-    counts = [0] * (top + 1)
-    for J in K.face_masks:
-        counts[popcount(J)] += 1
-    return tuple(counts)
+    return (1,) + K.f_vector()

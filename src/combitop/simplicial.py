@@ -38,10 +38,10 @@ def facet_masks(m: int, maximal: Iterable[Iterable[int]]) -> list[int]:
 class SimplicialComplex(Value):
     """A downward-closed family of subsets of {1..m}, as bitmasks.
 
-    ``maximal_face_masks()`` (facets) tests one-vertex extensions by set
-    lookup, O(faces * m).  Its dual ``missing_face_masks()`` (minimal
-    non-faces) works from the mask of extending vertices of each face, with
-    O(faces * dim) lookups and no candidate set.
+    ``extension_masks()`` maps each face f to the vertices v outside f with
+    f | v a face (the vertex set of lk(f)), in O(faces * dim) lookups.
+    Facets (``maximal_face_masks()``), minimal non-faces
+    (``missing_face_masks()``) and the barycentric subdivision read it.
     """
 
     __slots__ = ("m", "face_masks")
@@ -103,15 +103,16 @@ class SimplicialComplex(Value):
 
     @property
     def dim(self) -> int:
-        return max(popcount(f) for f in self.face_masks) - 1
+        return len(self.f_vector()) - 1
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_0, ..., f_dim); the empty face is not counted."""
-        counts = [0] * (self.dim + 1)
+        counts = [0] * (self.m + 1)
         for f in self.face_masks:
-            if f:
-                counts[popcount(f) - 1] += 1
-        return tuple(counts)
+            counts[popcount(f)] += 1
+        while not counts[-1]:
+            counts.pop()
+        return tuple(counts[1:])
 
     def edges(self) -> list[tuple[int, int]]:
         """The 1-skeleton as a sorted list of vertex pairs."""
@@ -129,26 +130,29 @@ class SimplicialComplex(Value):
 
     # -- missing faces and flag structure ----------------------------
 
+    def extension_masks(self) -> dict[int, int]:
+        """For each face f, the mask of the vertices v outside f with f | v a face."""
+        ext = dict.fromkeys(self.face_masks, 0)
+        for f in self.face_masks:
+            rest = f
+            while rest:
+                low = rest & -rest
+                ext[f ^ low] |= low
+                rest ^= low
+        return ext
+
     def missing_face_masks(self) -> set[int]:
         """Minimal non-faces: W not a face whose codimension-1 subsets all are.
 
         Each W comes once, as f | v for the face f = W minus its top vertex v:
         v does not extend f to a face but extends f minus any one vertex.
         """
-        faces = self.face_masks
-        # ext[f]: the vertices v outside f with f | v a face
-        ext = dict.fromkeys(faces, 0)
-        for f in faces:
-            rest = f
-            while rest:
-                low = rest & -rest
-                ext[f ^ low] |= low
-                rest ^= low
+        ext = self.extension_masks()
         full = (1 << self.m) - 1
         out = set()
-        for f in faces:
+        for f, e in ext.items():
             above = f.bit_length()
-            cand = full >> above << above & ~ext[f]
+            cand = full >> above << above & ~e
             rest = f
             while rest:
                 low = rest & -rest
@@ -161,10 +165,8 @@ class SimplicialComplex(Value):
         return out
 
     def maximal_face_masks(self) -> set[int]:
-        """Facets: nonempty faces f with no face f | bit for any vertex bit outside f."""
-        bits = [1 << v for v in range(self.m)]
-        faces = self.face_masks
-        return {f for f in faces if f and all(f & b or f | b not in faces for b in bits)}
+        """Facets: nonempty faces that no vertex extends."""
+        return {f for f, e in self.extension_masks().items() if f and not e}
 
     def missing_faces(self) -> list[tuple[int, ...]]:
         return [vertices_of(f) for f in sorted(self.missing_face_masks(), key=_face_sort_key)]
@@ -220,22 +222,24 @@ class SimplicialComplex(Value):
         """Complex of chains of nonempty faces, ordered by strict inclusion."""
         verts = sorted((f for f in self.face_masks if f), key=_face_sort_key)
         index = {f: i + 1 for i, f in enumerate(verts)}
-        bits = [1 << v for v in range(self.m)]
+        ext = self.extension_masks()
         chains: list[list[int]] = []
 
         def grow(chain: list[int]) -> None:
             top = chain[-1]
-            exts = [top | b for b in bits if not top & b and top | b in self.face_masks]
-            if not exts:
+            rest = ext[top]
+            if not rest:
                 # no one-vertex extension means maximal, by downward closure
                 chains.append(list(chain))
-            for g in exts:
-                chain.append(g)
+            while rest:
+                low = rest & -rest
+                chain.append(top | low)
                 grow(chain)
                 chain.pop()
+                rest ^= low
 
-        for b in bits:
-            grow([b])
+        for v in range(self.m):
+            grow([1 << v])
         return SimplicialComplex.from_maximal_faces(
             len(verts), [[index[f] for f in chain] for chain in chains]
         )

@@ -15,7 +15,7 @@ import itertools
 import math
 from enum import Enum
 
-from ._bits import Value, mask_of, popcount, setfield
+from ._bits import Value, mask_of, popcount, setfield, vertices_of
 from .simplicial import SimplicialComplex
 
 
@@ -83,9 +83,6 @@ class Monomial(Value):
         return " ".join(f"v{v}" if e == 1 else f"v{v}^{e}" for v, e in self.powers)
 
 
-#: Dual basis elements of the coalgebra share the multiset representation.
-CoalgebraBasisElement = Monomial
-
 ONE = Monomial(())
 
 
@@ -115,14 +112,12 @@ def monomial_basis(K: SimplicialComplex, mode: GradingMode, degree: int) -> list
         return []
     total = degree // g
     out = []
-    for face in K.faces():
-        s = len(face)
-        if s == 0 or s > total:
+    for f in K.face_masks:
+        s = popcount(f)
+        # an exterior monomial is squarefree: its one composition is all ones
+        if s == 0 or s > total or (mode is GradingMode.EXTERIOR and s < total):
             continue
-        if mode is GradingMode.EXTERIOR:
-            if s == total:
-                out.append(Monomial.from_vertices(face))
-            continue
+        face = vertices_of(f)
         for comp in _compositions(total, s):
             out.append(Monomial(tuple(zip(face, comp))))
     out.sort(key=lambda mono: tuple(-e for e in mono.exponent_vector(K.m)))
@@ -188,23 +183,20 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 def hilbert_series(K: SimplicialComplex, mode: GradingMode) -> HilbertSeries:
     """Generating function of basis-monomial counts by degree."""
-    sizes = [popcount(f) for f in K.face_masks]
-    top = max(sizes)
+    counts = (1,) + K.f_vector()
+    top = len(counts) - 1
     g = mode.generator_degree
     if mode is GradingMode.EXTERIOR:
-        num = [0] * (top + 1)
-        for s in sizes:
-            num[s] += 1
-        return HilbertSeries(tuple(num), 0, 1)
+        return HilbertSeries(counts, 0, 1)
     # common denominator (1 - t^g)^top
     one_minus = [1] + [0] * (g - 1) + [-1]
     pows = [[1]]
     for _ in range(top):
         pows.append(_poly_mul(pows[-1], one_minus))
     num = [0] * (g * top + 1)
-    for s in sizes:
+    for s, n in enumerate(counts):
         for j, a in enumerate(pows[top - s]):
-            num[g * s + j] += a
+            num[g * s + j] += n * a
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return HilbertSeries(tuple(num), top, g)
@@ -234,10 +226,11 @@ def multiply(
     return 1, Monomial.from_exponents(exps)
 
 
-def coproduct(
-    z: CoalgebraBasisElement, mode: GradingMode
-) -> list[tuple[int, CoalgebraBasisElement, CoalgebraBasisElement]]:
-    """All ordered two-part splittings of z, dual to multiplication."""
+def coproduct(z: Monomial, mode: GradingMode) -> list[tuple[int, Monomial, Monomial]]:
+    """All ordered two-part splittings of z, dual to multiplication.
+
+    Dual basis elements of the coalgebra share the ``Monomial`` representation.
+    """
     if mode is GradingMode.EXTERIOR:
         if not z.is_squarefree():
             raise ValueError("exterior coalgebra elements are squarefree")

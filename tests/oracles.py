@@ -25,6 +25,15 @@ def face_sets(K: SimplicialComplex) -> set[frozenset[int]]:
     return {frozenset(f) for f in K.faces()}
 
 
+def brute_extension_sets(K: SimplicialComplex) -> dict[frozenset[int], frozenset[int]]:
+    """Per face f, the vertices v outside f with f + {v} a face, by testing every vertex."""
+    faces = face_sets(K)
+    return {
+        f: frozenset(v for v in range(1, K.m + 1) if v not in f and f | {v} in faces)
+        for f in faces
+    }
+
+
 def brute_missing_faces(K: SimplicialComplex) -> set[frozenset[int]]:
     """Minimal non-faces by scanning every vertex subset."""
     faces = face_sets(K)

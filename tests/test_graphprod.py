@@ -67,6 +67,17 @@ def test_word_normalizes_letters():
         word("borel", g, [])
 
 
+def test_artin_exponent_must_be_an_integer():
+    g = square_graph()
+    for bad in (0.9, 1.5, Fraction(7, 2), "1/2"):
+        with pytest.raises(ValueError, match="artin exponent must be an integer"):
+            word("artin", g, [(2, bad)])
+    w = word("artin", g, [(1, "3"), (2, 2.0), (3, Fraction(-4, 2)), (4, 0.0)])
+    assert w.letters == ((1, 3), (2, 2), (3, -2))
+    assert all(type(e) is int for _, e in w.letters)
+    assert format_word(w) == "v1^3 v2^2 v3^-2"
+
+
 def test_reduce_examples():
     g = square_graph()
     w = word("artin", g, [(1, 1), (2, 1), (1, -1)])
@@ -282,6 +293,27 @@ def test_abelianize_examples():
 
     circ = word("circulation", g, [(1, Fraction(1, 4)), (1, Fraction(1, 2))])
     assert abelianize(circ)[0] == Fraction(3, 4)
+
+
+@pytest.mark.parametrize(
+    "kind, letters, expected",
+    [
+        # Z/2: a1 three times, a2 twice, a3 once
+        ("coxeter", [(1, 1), (2, 1), (1, 1), (3, 1), (2, 1), (1, 1)], (1, 0, 1, 0)),
+        # Z: 2 - 5 + 3 = 0 at v1, -1 - 1 = -2 at v4
+        ("artin", [(1, 2), (4, -1), (1, -5), (4, -1), (1, 3)], (0, 0, 0, -2)),
+        # Q/Z: 3/4 + 1/2 = 5/4 = 1/4 at t1, 1/3 + 2/3 = 1 = 0 at t2, 1/6 at t3
+        (
+            "circulation",
+            [(1, Fraction(3, 4)), (2, Fraction(1, 3)), (3, Fraction(1, 6)),
+             (1, Fraction(1, 2)), (2, Fraction(2, 3))],
+            (Fraction(1, 4), 0, Fraction(1, 6), 0),
+        ),
+    ],
+    ids=["coxeter", "artin", "circulation"],
+)
+def test_abelianize_matches_hand_reduced_sums(kind, letters, expected):
+    assert abelianize(word(kind, square_graph(), letters)) == expected
 
 
 def test_abelianize_invariant_under_reduction(test_complexes):

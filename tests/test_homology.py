@@ -7,7 +7,6 @@ from combitop.homology import (
     CubicalComplex,
     HomologyGroup,
     gf2_rank,
-    homology,
     invariant_factors,
     smith_normal_form,
 )
@@ -84,7 +83,7 @@ def test_homology_group_validation():
 
 def test_point_homology():
     C = ChainComplex([1], [])
-    assert homology(C) == [HomologyGroup(1)]
+    assert C.homology() == [HomologyGroup(1)]
 
 
 def test_circle_from_square_boundary():
@@ -96,15 +95,15 @@ def test_circle_from_square_boundary():
         [0, 0, 1, -1],
     ]
     C = ChainComplex([4, 4], [d1])
-    assert homology(C) == [HomologyGroup(1), HomologyGroup(1)]
-    assert homology(C, mod2=True) == [HomologyGroup(1), HomologyGroup(1)]
+    assert C.homology() == [HomologyGroup(1), HomologyGroup(1)]
+    assert C.homology(mod2=True) == [HomologyGroup(1), HomologyGroup(1)]
 
 
 def test_mod2_degree_doubling_torsion():
     # one 0-cell, one 1-cell attached by degree 2 (real projective line)
     C = ChainComplex([1, 1], [[[2]]])
-    assert homology(C) == [HomologyGroup(0, (2,)), HomologyGroup(0)]
-    assert homology(C, mod2=True) == [HomologyGroup(1), HomologyGroup(1)]
+    assert C.homology() == [HomologyGroup(0, (2,)), HomologyGroup(0)]
+    assert C.homology(mod2=True) == [HomologyGroup(1), HomologyGroup(1)]
 
 
 def test_klein_bottle():
@@ -112,12 +111,12 @@ def test_klein_bottle():
     d1 = [[0, 0]]
     d2 = [[0], [2]]
     C = ChainComplex([1, 2, 1], [d1, d2])
-    assert homology(C) == [
+    assert C.homology() == [
         HomologyGroup(1),
         HomologyGroup(1, (2,)),
         HomologyGroup(0),
     ]
-    assert [g.betti for g in homology(C, mod2=True)] == [1, 2, 1]
+    assert [g.betti for g in C.homology(mod2=True)] == [1, 2, 1]
 
 
 def test_boundary_squared_checked():

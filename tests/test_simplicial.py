@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
+from combitop._bits import vertices_of
 from combitop.simplicial import (
     SimplicialComplex,
     discrete_complex,
@@ -14,6 +16,8 @@ from combitop.simplicial import (
 from oracles import (
     brute_barycentric_subdivision,
     brute_clique_complex,
+    brute_extension_sets,
+    brute_maximal_faces,
     brute_missing_faces,
     face_sets,
     random_complexes,
@@ -82,6 +86,18 @@ def test_missing_faces_match_brute_force(test_complexes):
 @given(small_complexes(max_m=10))
 def test_missing_faces_match_brute_force_drawn(K):
     assert {frozenset(w) for w in K.missing_faces()} == brute_missing_faces(K)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_complexes(max_m=10))
+def test_extension_map_and_facets_match_brute_force_drawn(K):
+    ext = K.extension_masks()
+    got = {frozenset(vertices_of(f)): frozenset(vertices_of(e)) for f, e in ext.items()}
+    assert got == brute_extension_sets(K)
+    facets = [list(vertices_of(f)) for f in K.maximal_face_masks()]
+    assert sorted(facets, key=lambda f: (len(f), f)) == brute_maximal_faces(K)
+    sizes = Counter(len(f) for f in face_sets(K))
+    assert K.f_vector() == tuple(sizes[k] for k in range(1, max(sizes) + 1))
 
 
 def test_is_flag_examples():

@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from combitop.simplicial import full_simplex, polygon_boundary, simplex_boundary
 from combitop.sralg import (
@@ -14,7 +15,7 @@ from combitop.sralg import (
     multiply,
 )
 
-from oracles import brute_monomial_count
+from oracles import brute_monomial_count, small_complexes
 
 MODES = list(GradingMode)
 
@@ -100,6 +101,15 @@ def test_hilbert_series_matches_basis(test_complexes):
             series = hilbert_series(K, mode)
             for d in range(9):
                 assert series.coefficient(d) == len(monomial_basis(K, mode, d))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(small_complexes(max_m=5))
+def test_hilbert_coefficients_match_brute_force_drawn(K):
+    for mode in MODES:
+        series = hilbert_series(K, mode)
+        for d in range(5):
+            assert series.coefficient(d) == brute_monomial_count(K, mode.value, d)
 
 
 def test_multiply_examples():
