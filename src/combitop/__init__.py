@@ -6,91 +6,49 @@ right-angled Coxeter/Artin/circulation groups, cubical models of the
 face-category classifying space and of the real moment-angle complex with
 exact integral homology, coordinate subspace arrangement data, and the
 derived connectivity bounds.
+
+Public names are imported from their module on first use (PEP 562), so a
+process loads only the modules it touches.
 """
 
-from .arrangement import Arrangement, arrangement, in_complement, real_complement_homology
-from .connectivity import (
-    ConnectivityReport,
-    connectivity_report,
-    flag_equivalence,
-    pair_connectivity,
-)
-from .facecat import CubicalCell, chain_count, cubical_model, face_subcomplex, object_count
-from .graphprod import (
-    CommutationGraph,
-    GroupWord,
-    abelianize,
-    cartier_foata_blocks,
-    equal,
-    in_commutator_subgroup,
-    is_abelian_restriction,
-    normal_form,
-    word,
-    wordlength,
-)
-from .homology import ChainComplex, CubicalComplex, HomologyGroup, smith_normal_form
-from .macomplex import moment_angle_homology, orbit_counts, real_moment_angle, stabilizer
-from .simplicial import (
-    SimplicialComplex,
-    discrete_complex,
-    full_simplex,
-    polygon_boundary,
-    simplex_boundary,
-)
-from .sralg import (
-    GradingMode,
-    HilbertSeries,
-    Monomial,
-    coproduct,
-    hilbert_series,
-    monomial_basis,
-    multiply,
-)
+import importlib
+
+# Eager: ``combitop.arrangement`` names both this function and its module, and
+# importing the module binds the module here unless the function is bound first.
+from .arrangement import arrangement
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrangement",
-    "ChainComplex",
-    "CommutationGraph",
-    "ConnectivityReport",
-    "CubicalCell",
-    "CubicalComplex",
-    "GradingMode",
-    "GroupWord",
-    "HilbertSeries",
-    "HomologyGroup",
-    "Monomial",
-    "SimplicialComplex",
-    "abelianize",
-    "arrangement",
-    "cartier_foata_blocks",
-    "chain_count",
-    "connectivity_report",
-    "coproduct",
-    "cubical_model",
-    "discrete_complex",
-    "equal",
-    "face_subcomplex",
-    "flag_equivalence",
-    "full_simplex",
-    "hilbert_series",
-    "in_commutator_subgroup",
-    "in_complement",
-    "is_abelian_restriction",
-    "moment_angle_homology",
-    "monomial_basis",
-    "multiply",
-    "normal_form",
-    "object_count",
-    "orbit_counts",
-    "pair_connectivity",
-    "polygon_boundary",
-    "real_complement_homology",
-    "real_moment_angle",
-    "simplex_boundary",
-    "smith_normal_form",
-    "stabilizer",
-    "word",
-    "wordlength",
-]
+#: The module that defines each public name; ``__getattr__`` imports it on first use.
+_HOME = {
+    name: module
+    for module, names in {
+        "arrangement": "Arrangement arrangement in_complement real_complement_homology",
+        "connectivity": "ConnectivityReport connectivity_report flag_equivalence"
+        " pair_connectivity",
+        "facecat": "CubicalCell chain_count cubical_model face_subcomplex object_count",
+        "graphprod": "CommutationGraph GroupWord abelianize cartier_foata_blocks equal"
+        " in_commutator_subgroup is_abelian_restriction normal_form word wordlength",
+        "homology": "ChainComplex CubicalComplex HomologyGroup smith_normal_form",
+        "macomplex": "moment_angle_homology orbit_counts real_moment_angle stabilizer",
+        "simplicial": "SimplicialComplex discrete_complex full_simplex polygon_boundary"
+        " simplex_boundary",
+        "sralg": "GradingMode HilbertSeries Monomial coproduct hilbert_series monomial_basis"
+        " multiply",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,10 +9,13 @@ splitting in ``macomplex``; the cubical model stays the independent check.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ._bits import Value, setfield
-from .homology import HomologyGroup
-from .macomplex import moment_angle_homology
 from .simplicial import SimplicialComplex
+
+if TYPE_CHECKING:
+    from .homology import HomologyGroup
 
 FIELDS = ("R", "C", "E")
 
@@ -48,4 +51,7 @@ def real_complement_homology(
     K: SimplicialComplex, mod2: bool = False
 ) -> list[HomologyGroup]:
     """Homology of the real arrangement complement: that of the moment-angle complex."""
+    # imported here: the package imports this module eagerly, and most commands need no homology
+    from .macomplex import moment_angle_homology
+
     return moment_angle_homology(K, mod2=mod2)

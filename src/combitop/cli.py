@@ -16,13 +16,17 @@ import json
 import math
 import sys
 
-from . import connectivity as conn
-from . import facecat, graphprod, macomplex, sralg
 from ._bits import popcount, vertices_of
 from .arrangement import FIELDS as ARRANGEMENT_FIELDS
 from .arrangement import arrangement as build_arrangement
-from .homology import HomologyGroup
 from .simplicial import MAX_VERTICES, SimplicialComplex, facet_masks
+
+# Each subcommand imports the library modules it runs, so a process loads
+# only those: graphprod and fractions, say, stay out of every other command.
+
+#: The ``--group`` choices: ``graphprod.KINDS``, which a test pins, written out
+#: so that the parser does not import graphprod.
+GROUP_KINDS = ("coxeter", "artin", "circulation")
 
 #: Largest face-count estimate 1 + m + sum of 2^|F| over the maximal faces F
 #: that a document may have; ``from_maximal_faces`` enumerates that many submasks.
@@ -118,6 +122,9 @@ def _fmt_set(vertices) -> str:
 
 
 def _cmd_info(args) -> dict:
+    from . import connectivity as conn
+    from . import facecat
+
     K, name = parse_complex(args.path)
     missing = K.missing_faces()
     report = conn.connectivity_report(K, missing)
@@ -160,6 +167,8 @@ def _cmd_flagify(args) -> dict:
 
 
 def _cmd_sr_hilbert(args) -> dict:
+    from . import sralg
+
     K, _ = parse_complex(args.path)
     series = sralg.hilbert_series(K, sralg.GradingMode(args.mode))
     payload = {
@@ -173,6 +182,8 @@ def _cmd_sr_hilbert(args) -> dict:
 
 
 def _text_sr_hilbert(p) -> list[str]:
+    from . import sralg
+
     series = sralg.HilbertSeries(
         tuple(p["numerator"]), p["denominator_power"], p["generator_degree"]
     )
@@ -183,6 +194,8 @@ def _text_sr_hilbert(p) -> list[str]:
 
 
 def _cmd_sr_basis(args) -> list:
+    from . import sralg
+
     K, _ = parse_complex(args.path)
     if args.degree < 0:
         raise CliError(2, f"--degree must be >= 0, got {args.degree}")
@@ -197,12 +210,16 @@ def _cmd_sr_basis(args) -> list:
 
 
 def _text_sr_basis(p) -> list[str]:
+    from . import sralg
+
     monomials = [str(sralg.Monomial(tuple(map(tuple, powers)))) for powers in p]
     return monomials + [f"count: {len(p)}"]
 
 
-def _parse_words(args, *texts) -> list[graphprod.GroupWord]:
+def _parse_words(args, *texts) -> list:
     """Words of the graph product of ``--group`` kind over the 1-skeleton of the complex."""
+    from . import graphprod
+
     K, _ = parse_complex(args.path)
     graph = graphprod.CommutationGraph.from_complex(K)
     try:
@@ -212,6 +229,8 @@ def _parse_words(args, *texts) -> list[graphprod.GroupWord]:
 
 
 def _cmd_word_reduce(args) -> dict:
+    from . import graphprod
+
     (w,) = _parse_words(args, args.word)
     blocks = graphprod.cartier_foata_blocks(w)
 
@@ -226,20 +245,28 @@ def _cmd_word_reduce(args) -> dict:
 
 
 def _cmd_word_equal(args) -> dict:
+    from . import graphprod
+
     return {"equal": graphprod.equal(*_parse_words(args, args.word1, args.word2))}
 
 
 def _cmd_ma_homology(args) -> list:
+    from . import macomplex
+
     K, _ = parse_complex(args.path)
     groups = macomplex.moment_angle_homology(K, mod2=args.mod2)
     return [{"dim": k, "betti": g.betti, "torsion": list(g.torsion)} for k, g in enumerate(groups)]
 
 
 def _text_ma_homology(p) -> list[str]:
+    from .homology import HomologyGroup
+
     return [f"H_{row['dim']} = {HomologyGroup(row['betti'], tuple(row['torsion']))}" for row in p]
 
 
 def _cmd_bcat_cells(args) -> dict:
+    from . import facecat
+
     K, _ = parse_complex(args.path)
     cells = 1 + sum(n << s for s, n in enumerate(K.f_vector(), 1))
     if cells > MAX_CUBICAL_CELLS:
@@ -281,6 +308,8 @@ def _text_arrangement(p) -> list[str]:
 
 
 def _cmd_pair_connectivity(args) -> dict:
+    from . import connectivity as conn
+
     K, _ = parse_complex(args.path)
     L, _ = parse_complex(args.with_path)
     c, degrees = conn.pair_connectivity(K, L)
@@ -326,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("word-reduce", _cmd_word_reduce, lambda res: [res["word"]],
             "normal form of a graph-product word")
-    p.add_argument("--group", required=True, choices=list(graphprod.KINDS))
+    p.add_argument("--group", required=True, choices=list(GROUP_KINDS))
     p.add_argument("path")
     p.add_argument("word")
 
     p = add("word-equal", _cmd_word_equal, lambda res: ["true" if res["equal"] else "false"],
             "decide equality of two words")
-    p.add_argument("--group", required=True, choices=list(graphprod.KINDS))
+    p.add_argument("--group", required=True, choices=list(GROUP_KINDS))
     p.add_argument("path")
     p.add_argument("word1")
     p.add_argument("word2")

@@ -2,18 +2,21 @@
 
 Integer Smith normal form is computed by gcd-pivot elimination with
 arbitrary-precision integers; pivots prefer +-1 entries, then smallest
-absolute value, to limit coefficient growth.  Mod-2 Betti numbers use
-bitset Gaussian elimination.
+absolute value, to limit coefficient growth.  A matrix given by sparse
+columns has its +-1 pivots eliminated sparsely first, and only the residual
+goes to the dense Smith form.  Mod-2 ranks use one bitset xor elimination.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from ._bits import Value, setfield
 
 Matrix = list[list[int]]
+#: A sparse column: row index -> nonzero entry.
+Column = dict[int, int]
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
@@ -27,64 +30,35 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
     diag: list[int] = []
     t = 0
     while t < nrows and t < ncols:
-        pr = pc = -1
-        best = 0
+        # the pivot: the first +-1 entry, else one of least absolute value
+        p = 0
         for i in range(t, nrows):
-            Mi = M[i]
-            for j in range(t, ncols):
-                a = Mi[j]
-                if a:
-                    aa = -a if a < 0 else a
-                    if best == 0 or aa < best:
-                        pr, pc, best = i, j, aa
-                        if aa == 1:
-                            break
-            if best == 1:
+            for j, a in enumerate(M[i][t:], t):
+                if a and (not p or abs(a) < p):
+                    p, pr, pc = abs(a), i, j
+            if p == 1:
                 break
-        if best == 0:
+        if not p:
             break
-        if pr != t:
-            M[t], M[pr] = M[pr], M[t]
-        if pc != t:
-            for row in M:
-                row[t], row[pc] = row[pc], row[t]
-        while True:
-            if M[t][t] < 0:
-                M[t] = [-x for x in M[t]]
-            p = M[t][t]
-            # clear column t below the pivot; a nonzero remainder becomes
-            # a strictly smaller pivot, so swap it up and start over
-            restart = False
-            for i in range(t + 1, nrows):
-                a = M[i][t]
-                if a:
-                    q = a // p
-                    if q:
-                        Mt = M[t]
-                        M[i] = [x - q * y for x, y in zip(M[i], Mt)]
-                    if M[i][t]:
-                        M[t], M[i] = M[i], M[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # column t is (p, 0, ..., 0), so clearing row t by column
-            # operations touches row t only; a remainder swaps columns
-            Mt = M[t]
-            swapped = False
-            for j in range(t + 1, ncols):
-                a = Mt[j]
-                if a:
-                    r = a % p
-                    Mt[j] = r
-                    if r:
-                        for row in M:
-                            row[t], row[j] = row[j], row[t]
-                        swapped = True
-                        break
-            if not swapped:
-                break
-        diag.append(M[t][t])
+        M[t], M[pr] = M[pr], M[t]
+        for row in M:
+            row[t], row[pc] = row[pc], row[t]
+        if M[t][t] < 0:
+            M[t] = [-x for x in M[t]]
+        Mt = M[t]
+        # clear column t by row operations, then row t by column operations,
+        # which touch row t alone; a remainder is a smaller pivot: pick again
+        for i in range(t + 1, nrows):
+            q = M[i][t] // p
+            if q:
+                M[i] = [x - q * y for x, y in zip(M[i], Mt)]
+        if any(M[i][t] for i in range(t + 1, nrows)):
+            continue
+        for j in range(t + 1, ncols):
+            Mt[j] %= p
+        if any(Mt[t + 1:]):
+            continue
+        diag.append(p)
         t += 1
     factors = invariant_factors(diag)
     return [1] * (len(diag) - len(factors)) + list(factors)
@@ -110,24 +84,85 @@ def invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(d for d in diag if d != 1)
 
 
+def xor_rank(vectors: Iterable[int]) -> int:
+    """Rank over Z/2 of vectors packed as bitsets, by xor elimination on the top bit."""
+    pivots: dict[int, int] = {}
+    for cur in vectors:
+        while cur:
+            top = cur.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = cur
+                break
+            cur ^= pivots[top]
+    return len(pivots)
+
+
 def gf2_rank(mat: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix reduced mod 2."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in mat:
-        cur = 0
-        for j, a in enumerate(row):
-            if a & 1:
-                cur |= 1 << j
-        while cur:
-            msb = cur.bit_length() - 1
-            if msb in pivots:
-                cur ^= pivots[msb]
-            else:
-                pivots[msb] = cur
-                rank += 1
+    return xor_rank(sum(1 << j for j, a in enumerate(row) if a & 1) for row in mat)
+
+
+def sparse_smith_normal_form(columns: Iterable[Column]) -> list[int]:
+    """``smith_normal_form`` of the matrix with these sparse columns.
+
+    A column is reduced past the +-1 pivots found so far, and a unit entry
+    left in it becomes a pivot; the residual columns that hold its row are
+    then reduced again.  The pivots form a triangular unimodular block, so
+    the rest of the Smith form is that of the residual columns alone.
+    """
+    pivots: dict[int, Column] = {}
+    residual: list[Column] = []
+    todo = list(columns)
+    while todo:
+        col = todo.pop()
+        while hits := [r for r in col if r in pivots]:
+            col = dict(col)  # reduce a copy: the columns are the caller's
+            for r in hits:
+                if r in col:
+                    q = col[r] * pivots[r][r]
+                    for i, a in pivots[r].items():
+                        v = col.get(i, 0) - q * a
+                        if v:
+                            col[i] = v
+                        else:
+                            del col[i]
+        for unit, a in col.items():
+            if a == 1 or a == -1:
                 break
-    return rank
+        else:
+            residual += [col] if col else []
+            continue
+        pivots[unit] = col
+        todo += [c for c in residual if unit in c]
+        residual = [c for c in residual if unit not in c]
+    rows = sorted({r for c in residual for r in c})
+    rest = smith_normal_form([[c.get(r, 0) for c in residual] for r in rows]) if rows else []
+    return [1] * len(pivots) + rest
+
+
+def homology_groups(ranks: Sequence[int], diagonals: Sequence[list[int]]) -> list[HomologyGroup]:
+    """H_k from the rank of each C_k and the Smith diagonal of each d_{k+1}: C_{k+1} -> C_k.
+
+    A diagonal may join those of a direct sum's summands.  Over Z/2 it is
+    rank-many 1s, and the Betti numbers are mod 2.
+    """
+    rank = [0] + [len(d) for d in diagonals] + [0]
+    torsion = [invariant_factors(d) for d in diagonals] + [()]
+    return [HomologyGroup(n - rank[k] - rank[k + 1], torsion[k]) for k, n in enumerate(ranks)]
+
+
+def check_square_zero(columns: Sequence[Column]) -> None:
+    """Raise ValueError unless d o d = 0, where column j of d is the boundary of cell j.
+
+    Rows and columns share one index over the cells of every degree.
+    """
+    for j, col in enumerate(columns):
+        acc: Column = {}
+        for i, a in col.items():
+            for k, b in columns[i].items():
+                acc[k] = acc.get(k, 0) + a * b
+        if any(acc.values()):
+            raise ValueError(f"d o d != 0 on cell {j}: a boundary sign is wrong")
 
 
 class HomologyGroup(Value):
@@ -163,8 +198,8 @@ class ChainComplex:
     """Graded free Z-modules with integer boundary matrices.
 
     ``boundaries[k-1]`` is the matrix of d_k: C_k -> C_{k-1}, with
-    ranks[k-1] rows and ranks[k] columns.  d o d = 0 is checked eagerly:
-    a violation signals a boundary-sign bug upstream.
+    ranks[k-1] rows and ranks[k] columns.  d o d = 0 is checked eagerly, by
+    ``check_square_zero``: a violation signals a boundary-sign bug upstream.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence[Matrix]):
@@ -177,52 +212,22 @@ class ChainComplex:
         for k, b in enumerate(self.boundaries, start=1):
             if len(b) != self.ranks[k - 1] or any(len(row) != self.ranks[k] for row in b):
                 raise ValueError(f"boundary {k} has the wrong shape")
-        for k in range(2, len(self.ranks)):
-            self._check_square_zero(self.boundaries[k - 2], self.boundaries[k - 1], k)
-
-    @staticmethod
-    def _check_square_zero(prev: Matrix, cur: Matrix, k: int) -> None:
-        # sparse column-by-column composition
-        prev_cols: dict[int, list[tuple[int, int]]] = {}
-        for i, row in enumerate(prev):
-            for j, a in enumerate(row):
-                if a:
-                    prev_cols.setdefault(j, []).append((i, a))
-        for j in range(len(cur[0]) if cur else 0):
-            acc: dict[int, int] = {}
-            for i, row in enumerate(cur):
-                a = row[j]
-                if a:
-                    for i2, c in prev_cols.get(i, ()):
-                        acc[i2] = acc.get(i2, 0) + a * c
-            if any(acc.values()):
-                raise ValueError(f"d_{k-1} o d_{k} != 0 (column {j})")
-
-    @property
-    def top_dimension(self) -> int:
-        return len(self.ranks) - 1
+        # one index over the cells of all degrees, degree 0 first
+        start = [sum(self.ranks[:k]) for k in range(len(self.ranks))]
+        check_square_zero([{}] * sum(self.ranks[:1]) + [
+            {start[k - 1] + i: row[j] for i, row in enumerate(b) if row[j]}
+            for k, b in enumerate(self.boundaries, start=1)
+            for j in range(self.ranks[k])
+        ])
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
     def homology(self, mod2: bool = False) -> list[HomologyGroup]:
         """H_k = ker d_k / im d_{k+1} for each dimension, bottom up."""
-        d = self.top_dimension
         if mod2:
-            bd_rank = [0] + [gf2_rank(b) for b in self.boundaries] + [0]
-            return [
-                HomologyGroup(self.ranks[k] - bd_rank[k] - bd_rank[k + 1])
-                for k in range(d + 1)
-            ]
-        snfs = [smith_normal_form(b) for b in self.boundaries]
-        bd_rank = [0] + [len(s) for s in snfs] + [0]
-        out = []
-        for k in range(d + 1):
-            betti = self.ranks[k] - bd_rank[k] - bd_rank[k + 1]
-            torsion = tuple(e for e in snfs[k]) if k < d else ()
-            torsion = tuple(e for e in torsion if e > 1)
-            out.append(HomologyGroup(betti, torsion))
-        return out
+            return homology_groups(self.ranks, [[1] * gf2_rank(b) for b in self.boundaries])
+        return homology_groups(self.ranks, [smith_normal_form(b) for b in self.boundaries])
 
 
 class CubicalComplex:
@@ -233,11 +238,8 @@ class CubicalComplex:
     complex over Z is materialized on demand.
     """
 
-    def __init__(
-        self,
-        cells_by_dim: Sequence[Sequence[Hashable]],
-        boundary: Callable[[Hashable], list[tuple[int, Hashable]]],
-    ):
+    def __init__(self, cells_by_dim: Sequence[Sequence[Hashable]],
+                 boundary: Callable[[Hashable], list[tuple[int, Hashable]]]):
         self.cells_by_dim = [list(cells) for cells in cells_by_dim]
         while self.cells_by_dim and not self.cells_by_dim[-1]:
             self.cells_by_dim.pop()
@@ -249,9 +251,7 @@ class CubicalComplex:
         return len(self.cells_by_dim) - 1
 
     def cells(self, k: int) -> list[Hashable]:
-        if 0 <= k <= self.dimension:
-            return list(self.cells_by_dim[k])
-        return []
+        return list(self.cells_by_dim[k]) if 0 <= k <= self.dimension else []
 
     def all_cells(self) -> list[Hashable]:
         return [c for cells in self.cells_by_dim for c in cells]
@@ -268,9 +268,7 @@ class CubicalComplex:
     def chain_complex(self) -> ChainComplex:
         if self._chain is None:
             ranks = self.cell_counts()
-            index = [
-                {cell: i for i, cell in enumerate(cells)} for cells in self.cells_by_dim
-            ]
+            index = [{cell: i for i, cell in enumerate(cells)} for cells in self.cells_by_dim]
             boundaries = []
             for k in range(1, len(ranks)):
                 mat = [[0] * ranks[k] for _ in range(ranks[k - 1])]

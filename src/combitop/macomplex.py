@@ -6,9 +6,9 @@ minus ``lower`` is a face J of K.  A coordinate in ``lower`` sits at +1 and
 one outside ``upper`` at -1.  The sign-flip action of C2^m permutes cells;
 coordinate i fixes a cell exactly when i is free.
 
-Homology comes from the real stable splitting instead of the cubical
-chains: H_i = sum over W of the reduced homology H~_{i-1}(K_W) of the full
-subcomplexes, torsion included.  The cubical model's own homology
+Homology comes from the real stable splitting, H_i = sum over W of
+H~_{i-1}(K_W), torsion included, reduced as sparse columns over one index
+of the faces of K.  The cubical model's own homology
 (``real_moment_angle(K).homology()``) is kept as the independent check.
 """
 
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from ._bits import popcount, submasks
 from .facecat import CubicalCell, cube_complex
-from .homology import CubicalComplex, HomologyGroup, invariant_factors
+from .homology import CubicalComplex, HomologyGroup, check_square_zero, homology_groups
+from .homology import sparse_smith_normal_form, xor_rank
 from .simplicial import SimplicialComplex
 
 MAX_MA_VERTICES = 16
@@ -24,9 +25,7 @@ MAX_MA_VERTICES = 16
 
 def _check_vertex_cap(K: SimplicialComplex) -> None:
     if K.m > MAX_MA_VERTICES:
-        raise ValueError(
-            f"moment-angle model limited to {MAX_MA_VERTICES} vertices, got {K.m}"
-        )
+        raise ValueError(f"moment-angle model limited to {MAX_MA_VERTICES} vertices, got {K.m}")
 
 
 def real_moment_angle(K: SimplicialComplex) -> CubicalComplex:
@@ -51,44 +50,46 @@ def _simplex_boundary(face: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _augmented_chains(faces: list[int]) -> CubicalComplex:
-    """Augmented simplicial chains of a downward-closed face list sorted by size.
-
-    Degree s holds the faces with s vertices, the empty face in degree 0, so
-    homology in degree s is reduced homology in dimension s - 1.
-    """
-    by_size: list[list[int]] = [[] for _ in range(popcount(faces[-1]) + 1)]
-    for f in faces:
-        by_size[popcount(f)].append(f)
-    return CubicalComplex(by_size, _simplex_boundary)
-
-
 def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[HomologyGroup]:
     """H_0 .. H_{dim K + 1} of the real moment-angle complex, by the stable splitting.
 
-    H_i is the sum over vertex sets W of H~_{i-1}(K_W), where the empty
-    W contributes H~_{-1} of the empty complex, Z, to H_0.  A W that is a
-    face, or whose full subcomplex is a cone, contributes nothing.
+    H_i is the sum over vertex sets W of H~_{i-1}(K_W), the empty W giving
+    H~_{-1}(empty) = Z in H_0.  The faces of K, the empty face included, are
+    indexed once by size, each with its boundary as a sparse column.  The
+    augmented chains of K_W are the columns of the faces inside W, so one
+    d o d check on K covers every K_W.  A cone K_W, such as a simplex, adds 0.
     """
     _check_vertex_cap(K)
     faces = sorted(K.face_masks, key=popcount)
-    ext = K.extension_masks()
+    index = {f: i for i, f in enumerate(faces)}
+    columns = [{index[g]: a for a, g in _simplex_boundary(f)} for f in faces]
+    check_square_zero(columns)
+    if mod2:
+        columns = [sum(1 << i for i in col) for col in columns]
+    ext = list(map(K.extension_masks().get, faces))
     top = popcount(faces[-1])
-    betti = [1] + [0] * top
-    torsion: list[list[int]] = [[] for _ in range(top + 1)]
-    for W in range(1, 1 << K.m):
-        if W in K.face_masks:
-            continue
-        sub = [f for f in faces if not f & ~W]
-        apex = W
-        for f in sub:
-            apex &= f | ext[f]
-        if apex:
-            continue
-        for s, g in enumerate(_augmented_chains(sub).homology(mod2=mod2)):
-            betti[s] += g.betti
-            torsion[s].extend(g.torsion)
-    return [HomologyGroup(b, invariant_factors(t)) for b, t in zip(betti, torsion)]
+    counts, diagonals = [0] * (top + 1), [[] for _ in range(top)]
+    # W grows by vertices above its top one, and a new vertex v adds the
+    # faces g | v for the faces g of K_W that it extends.  K_W is a cone
+    # with apex v when v is in W and in the star f | ext[f] of each face f.
+    stack = [(0, [[0]] + [[] for _ in range(top)], ext[0])]
+    while stack:
+        W, by_size, star = stack.pop()
+        if not W & star:
+            for s, fs in enumerate(by_size):
+                counts[s] += len(fs)
+                if s:  # over Z/2 the Smith diagonal is rank-many 1s
+                    chain = [columns[i] for i in fs]
+                    diagonals[s - 1] += [1] * xor_rank(chain) if mod2 else sparse_smith_normal_form(chain)
+        for v in range(W.bit_length(), K.m):
+            bit, grown, meet = 1 << v, [by_size[0]], star
+            for fs, below in zip(by_size[1:], by_size):
+                added = [index[faces[i] | bit] for i in below if ext[i] & bit]
+                for j in added:
+                    meet &= faces[j] | ext[j]
+                grown.append(fs + added)
+            stack.append((W | bit, grown, meet))
+    return homology_groups(counts, diagonals)
 
 
 def stabilizer(cell: CubicalCell) -> tuple[int, ...]:

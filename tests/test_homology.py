@@ -7,8 +7,10 @@ from combitop.homology import (
     CubicalComplex,
     HomologyGroup,
     gf2_rank,
+    check_square_zero,
     invariant_factors,
     smith_normal_form,
+    sparse_smith_normal_form,
 )
 
 from oracles import snf_by_determinant_divisors
@@ -63,6 +65,26 @@ def test_invariant_factors_against_determinant_divisors():
         diagonal = [[d if i == j else 0 for j in range(len(orders))] for i, d in enumerate(orders)]
         expected = tuple(d for d in snf_by_determinant_divisors(diagonal) if d > 1)
         assert invariant_factors(orders) == expected
+
+
+def test_sparse_snf_matches_dense():
+    # sparse columns with many +-1 entries, so that pivots, re-reduced
+    # residuals and a dense remainder all occur
+    rng = random.Random(23)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        mat = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(cols)] for _ in range(rows)]
+        columns = [{i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)]
+        expected = snf_by_determinant_divisors(mat) if rows and cols else []
+        assert sparse_smith_normal_form(columns) == smith_normal_form(mat) == expected
+        assert columns == [{i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)]
+
+
+def test_check_square_zero():
+    # the augmented chains of an edge: cells empty, {1}, {2}, {1,2}
+    check_square_zero([{}, {0: 1}, {0: 1}, {2: 1, 1: -1}])
+    with pytest.raises(ValueError):
+        check_square_zero([{}, {0: 1}, {0: 1}, {2: 1, 1: 1}])
 
 
 def test_gf2_rank():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings
 
+from combitop import homology, macomplex
 from combitop.connectivity import connectivity_report
 from combitop.facecat import CubicalCell, cubical_model
 from combitop.homology import HomologyGroup
@@ -173,9 +174,14 @@ def test_projective_plane_model_has_torsion():
     assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] == [1, 0, 32, 1]
 
 
+# RP^2 and a disjoint vertex: the torsion sits in a proper full subcomplex
+RP2_AND_POINT = SimplicialComplex.from_maximal_faces(7, [list(f) for f in RP2.faces()] + [[7]])
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(small_complexes())
 @example(RP2)
+@example(RP2_AND_POINT)
 @example(polygon_boundary(5))
 def test_splitting_matches_cubical_model(K):
     # the stable splitting against the cubical chains of the same space,
@@ -214,3 +220,49 @@ def test_models_are_polyhedral_products(K):
     for cell in cells:
         for v in range(1, K.m + 1):
             assert act(act(cell, v), v) == cell
+
+
+def test_rp2_and_point_homology():
+    # Z/2 from W = {1..6}, whose K_W is RP^2, and from W = {1..7}
+    assert moment_angle_homology(RP2_AND_POINT)[2].torsion == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "K, dense",
+    [(RP2, True), (RP2_AND_POINT, True), (polygon_boundary(8), False), (simplex_boundary(7), False)],
+    ids=["rp2", "rp2+point", "pg8", "sb7"],
+)
+def test_splitting_checks_once_and_reduces_sparsely(monkeypatch, K, dense):
+    calls = {"check": 0, "snf": 0, "chains": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(macomplex, "check_square_zero", counted("check", homology.check_square_zero))
+    monkeypatch.setattr(homology, "smith_normal_form", counted("snf", homology.smith_normal_form))
+    for cls in (homology.ChainComplex, homology.CubicalComplex):
+        monkeypatch.setattr(cls, "__init__", counted("chains", cls.__init__))
+    for mod2 in (False, True):
+        calls.update(check=0, snf=0)
+        moment_angle_homology(K, mod2)
+        # one d o d check on K's boundary; a dense Smith form only for a
+        # residual without +-1 entries, so only where there is torsion
+        assert calls["check"] == 1
+        assert (calls["snf"] > 0) == (dense and not mod2)
+    assert calls["chains"] == 0
+
+
+def test_boundary_sign_error_raises(monkeypatch):
+    def flipped(face):
+        terms = rule(face)
+        return terms[:-1] + [(-terms[-1][0], terms[-1][1])] if len(terms) > 1 else terms
+
+    rule = macomplex._simplex_boundary
+    monkeypatch.setattr(macomplex, "_simplex_boundary", flipped)
+    for mod2 in (False, True):
+        with pytest.raises(ValueError, match="d o d"):
+            moment_angle_homology(polygon_boundary(4), mod2)

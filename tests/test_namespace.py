@@ -1,0 +1,135 @@
+"""The package namespace: lazy public names, and the modules each CLI command loads."""
+
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import combitop
+from combitop import cli
+from combitop.arrangement import FIELDS
+from combitop.graphprod import KINDS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SQUARE = {"vertices": 4, "maximal_faces": [[1, 2], [2, 3], [3, 4], [1, 4]]}
+
+PUBLIC = [
+    "Arrangement", "ChainComplex", "CommutationGraph", "ConnectivityReport", "CubicalCell",
+    "CubicalComplex", "GradingMode", "GroupWord", "HilbertSeries", "HomologyGroup", "Monomial",
+    "SimplicialComplex", "abelianize", "arrangement", "cartier_foata_blocks", "chain_count",
+    "connectivity_report", "coproduct", "cubical_model", "discrete_complex", "equal",
+    "face_subcomplex", "flag_equivalence", "full_simplex", "hilbert_series",
+    "in_commutator_subgroup", "in_complement", "is_abelian_restriction", "moment_angle_homology",
+    "monomial_basis", "multiply", "normal_form", "object_count", "orbit_counts",
+    "pair_connectivity", "polygon_boundary", "real_complement_homology", "real_moment_angle",
+    "simplex_boundary", "smith_normal_form", "stabilizer", "word", "wordlength",
+]
+
+# modules that none of these commands needs: graphprod brings fractions,
+# which brings decimal
+UNUSED = {"fractions", "decimal", "combitop.graphprod", "combitop.sralg"}
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with the package on the path; returns its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def loaded_after(argv: list[str]) -> set[str]:
+    """The modules in ``sys.modules`` after ``main(argv)`` in a fresh interpreter."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from combitop.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    return set(json.loads(run_python(code)))
+
+
+@pytest.fixture
+def square(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(SQUARE))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        (["info"], set()),
+        (["ma-homology"], set()),
+        (["--json", "ma-homology", "--mod2"], set()),
+        (["sr-hilbert", "--mode", "real"], {"combitop.sralg"}),
+    ],
+    ids=["info", "ma-homology", "ma-homology-mod2-json", "sr-hilbert"],
+)
+def test_command_loads_only_its_modules(square, argv, needed):
+    loaded = loaded_after(argv + [square])
+    assert needed <= loaded
+    assert not (UNUSED - needed) & loaded
+
+
+def test_word_command_loads_graphprod(square):
+    # the probe sees a module that a command does import
+    loaded = loaded_after(["word-reduce", "--group", "artin", square, "v1^1"])
+    assert {"combitop.graphprod", "fractions"} <= loaded
+
+
+def test_star_import_is_all():
+    assert combitop.__all__ == PUBLIC
+    names: dict = {}
+    exec("from combitop import *", names)
+    names.pop("__builtins__")
+    assert sorted(names) == PUBLIC
+    assert all(getattr(combitop, name) is names[name] for name in PUBLIC)
+    assert set(PUBLIC) <= set(dir(combitop))
+    with pytest.raises(AttributeError):
+        combitop.no_such_name
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import combitop.arrangement, combitop",
+        "import combitop.arrangement, combitop.macomplex, combitop",
+        "from combitop import arrangement; import combitop.arrangement, combitop",
+        "import combitop, combitop.arrangement; combitop.real_complement_homology",
+    ],
+)
+def test_arrangement_stays_the_function(code):
+    assert run_python(f"{code}\nprint(type(combitop.arrangement).__name__)") == "function\n"
+
+
+def test_arrangement_stays_the_function_after_cli(square):
+    code = (
+        "import contextlib, io\n"
+        "from combitop.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['arrangement', '--field', 'R', {square!r}]) == 0\n"
+        "import combitop.arrangement, combitop\n"
+        "print(type(combitop.arrangement).__name__)\n"
+    )
+    assert run_python(code) == "function\n"
+    assert isinstance(combitop.arrangement, types.FunctionType)
+
+
+def test_cli_choices_match_the_library():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+
+    def choices(command: str, option: str) -> list[str]:
+        (action,) = [a for a in sub.choices[command]._actions if option in a.option_strings]
+        return list(action.choices)
+
+    assert choices("word-reduce", "--group") == choices("word-equal", "--group") == list(KINDS)
+    assert choices("arrangement", "--field") == list(FIELDS)
