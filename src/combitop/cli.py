@@ -29,7 +29,7 @@ from .simplicial import MAX_VERTICES, SimplicialComplex, facet_masks
 GROUP_KINDS = ("coxeter", "artin", "circulation")
 
 #: Largest face-count estimate 1 + m + sum of 2^|F| over the maximal faces F
-#: that a document may have; ``from_maximal_faces`` enumerates that many submasks.
+#: that a document may have; ``from_facet_masks`` enumerates that many submasks.
 #: Parsing 0.92 M faces on 64 vertices takes 3.8 s and 110 MB (Python 3.11,
 #: Intel Xeon); 3.7 M faces took 18 s and 380 MB.
 MAX_FACE_ESTIMATE = 1 << 20
@@ -41,8 +41,9 @@ MAX_CUBICAL_CELLS = 1 << 20
 
 #: Largest monomial basis that ``sr-basis`` enumerates, counted exactly as the
 #: Hilbert series coefficient in the requested degree.  Enumerating 0.35 M
-#: monomials takes 1.7 s and 243 MB, 0.71 M 3.6 s and 486 MB (Python 3.11,
-#: Intel Xeon), before the output is rendered.
+#: monomials takes 1.3-1.6 s and 96 MB, 0.71 M 2.6-2.8 s and 179 MB (Python
+#: 3.11, Intel Xeon), before the output is rendered; the whole text run on
+#: 0.71 M takes 10 s and 594 MB.
 MAX_BASIS_MONOMIALS = 1 << 20
 
 
@@ -96,7 +97,7 @@ def parse_complex(path: str) -> tuple[SimplicialComplex, str | None]:
             f"complex too large: its maximal faces span up to {estimate} faces,"
             f" more than {MAX_FACE_ESTIMATE}",
         )
-    return SimplicialComplex.from_maximal_faces(m, maximal), name if isinstance(name, str) else None
+    return SimplicialComplex.from_facet_masks(m, masks), name if isinstance(name, str) else None
 
 
 def emit_complex(K: SimplicialComplex, name: str | None = None) -> dict:
@@ -210,10 +211,9 @@ def _cmd_sr_basis(args) -> list:
 
 
 def _text_sr_basis(p) -> list[str]:
-    from . import sralg
+    from .sralg import format_powers
 
-    monomials = [str(sralg.Monomial(tuple(map(tuple, powers)))) for powers in p]
-    return monomials + [f"count: {len(p)}"]
+    return [format_powers(powers) for powers in p] + [f"count: {len(p)}"]
 
 
 def _parse_words(args, *texts) -> list:

@@ -3,8 +3,8 @@
 Faces are stored as bitmasks over the vertex set (m <= 64).  Every complex
 contains the empty face and all singletons; constructors enforce both.
 ``SimplicialComplex(m, masks)`` validates downward closure; the builders whose
-families are closed by construction (``from_maximal_faces``, ``flagify``) skip
-that check.
+families are closed by construction (``from_maximal_faces``,
+``from_facet_masks``, ``flagify``) skip that check.
 """
 
 from __future__ import annotations
@@ -73,7 +73,11 @@ class SimplicialComplex(Value):
     @classmethod
     def from_maximal_faces(cls, m: int, maximal: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Downward closure of the given subsets, plus all singletons and the empty face."""
-        masks = facet_masks(m, maximal)
+        return cls.from_facet_masks(m, facet_masks(m, maximal))
+
+    @classmethod
+    def from_facet_masks(cls, m: int, masks: Iterable[int]) -> "SimplicialComplex":
+        """``from_maximal_faces`` on masks that ``facet_masks(m, ...)`` has already checked."""
         faces = {0}
         for v in range(1, m + 1):
             faces.add(1 << (v - 1))

@@ -15,7 +15,7 @@ import itertools
 import math
 from enum import Enum
 
-from ._bits import Value, mask_of, popcount, setfield, vertices_of
+from ._bits import Value, mask_of, setfield
 from .simplicial import SimplicialComplex
 
 
@@ -78,49 +78,69 @@ class Monomial(Value):
         return tuple(vec)
 
     def __str__(self) -> str:
-        if not self.powers:
-            return "1"
-        return " ".join(f"v{v}" if e == 1 else f"v{v}^{e}" for v, e in self.powers)
+        return format_powers(self.powers)
+
+
+def format_powers(powers) -> str:
+    """Text of a monomial from its (vertex, exponent) pairs: ``v1^2 v3``, or ``1``."""
+    if not powers:
+        return "1"
+    return " ".join(f"v{v}" if e == 1 else f"v{v}^{e}" for v, e in powers)
 
 
 ONE = Monomial(())
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` positive integers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in (*cuts, total):
-            out.append(c - prev)
-            prev = c
-        yield tuple(out)
-
-
 def monomial_basis(K: SimplicialComplex, mode: GradingMode, degree: int) -> list[Monomial]:
-    """All basis monomials of the given graded degree, sorted by exponent vector."""
+    """All basis monomials of the given graded degree, by descending exponent vector.
+
+    One walk serves every grading: vertices join the support in ascending
+    order, each with its highest exponent first and only while the support
+    stays a face, so the monomials come out in order.  Exterior caps the
+    exponent at 1.
+    """
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if degree == 0:
-        return [ONE]
     g = mode.generator_degree
     if degree % g:
         return []
-    total = degree // g
-    out = []
-    for f in K.face_masks:
-        s = popcount(f)
-        # an exterior monomial is squarefree: its one composition is all ones
-        if s == 0 or s > total or (mode is GradingMode.EXTERIOR and s < total):
-            continue
-        face = vertices_of(f)
-        for comp in _compositions(total, s):
-            out.append(Monomial(tuple(zip(face, comp))))
-    out.sort(key=lambda mono: tuple(-e for e in mono.exponent_vector(K.m)))
+    cap = 1 if mode is GradingMode.EXTERIOR else degree // g
+    faces, adj = K.face_masks, K.adjacency_masks()
+    out: list[Monomial] = []
+    powers: list[tuple[int, int]] = []
+
+    def walk(support: int, cand: int, rem: int) -> None:
+        # cand: the vertices above the support that keep it a face
+        if not rem:
+            # ascending vertices, positive exponents: Monomial's check would pass
+            mono = Monomial.__new__(Monomial)
+            setfield(mono, "powers", tuple(powers))
+            out.append(mono)
+            return
+        if cand.bit_count() * cap < rem:
+            return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length()
+            grown = support | low
+            sub = 0
+            rest = cand & adj[v]
+            while rest:
+                w = rest & -rest
+                if grown | w in faces:
+                    sub |= w
+                rest ^= w
+            for e in range(min(cap, rem), 0, -1):
+                found = len(out)
+                powers.append((v, e))
+                walk(grown, sub, rem - e)
+                powers.pop()
+                # a smaller exponent leaves more to place, so it fails too
+                if len(out) == found:
+                    break
+
+    walk(0, (1 << K.m) - 1, degree // g)
     return out
 
 
@@ -136,32 +156,20 @@ class HilbertSeries(Value):
 
     def coefficient(self, d: int) -> int:
         """Power-series coefficient of t^d, by exact expansion."""
-        if d < 0:
-            return 0
-        e = self.denominator_power
-        total = 0
-        for j, a in enumerate(self.numerator):
-            if a == 0 or j > d:
-                continue
-            rem = d - j
-            if rem % self.step:
-                continue
-            k = rem // self.step
-            if e == 0:
-                if k == 0:
-                    total += a
-            else:
-                total += a * math.comb(k + e - 1, e - 1)
+        e, total = self.denominator_power, 0
+        for j, a in enumerate(self.numerator[: max(d + 1, 0)]):
+            k, r = divmod(d - j, self.step)
+            if not r:
+                # the coefficient of t^(step k) in (1 - t^step)^-e
+                total += a * (math.comb(k + e - 1, k) if e else int(k == 0))
         return total
 
     def __str__(self) -> str:
         terms = []
         for j, a in enumerate(self.numerator):
-            if a == 0:
-                continue
-            if j == 0:
+            if a and not j:
                 terms.append(str(a))
-            else:
+            elif a:
                 coef = "" if a == 1 else ("-" if a == -1 else f"{a}*")
                 terms.append(f"{coef}t" if j == 1 else f"{coef}t^{j}")
         num = " + ".join(terms).replace("+ -", "- ") if terms else "0"
@@ -172,58 +180,43 @@ class HilbertSeries(Value):
         return f"({num}) / {denom}"
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def hilbert_series(K: SimplicialComplex, mode: GradingMode) -> HilbertSeries:
     """Generating function of basis-monomial counts by degree."""
     counts = (1,) + K.f_vector()
-    top = len(counts) - 1
-    g = mode.generator_degree
     if mode is GradingMode.EXTERIOR:
         return HilbertSeries(counts, 0, 1)
-    # common denominator (1 - t^g)^top
-    one_minus = [1] + [0] * (g - 1) + [-1]
-    pows = [[1]]
-    for _ in range(top):
-        pows.append(_poly_mul(pows[-1], one_minus))
+    # over the common denominator (1 - t^g)^top, a face of size s brings
+    # t^(g s) (1 - t^g)^(top - s), expanded by the binomial theorem
+    top = len(counts) - 1
+    g = mode.generator_degree
     num = [0] * (g * top + 1)
     for s, n in enumerate(counts):
-        for j, a in enumerate(pows[top - s]):
-            num[g * s + j] += n * a
+        for j in range(top - s + 1):
+            num[g * (s + j)] += (-1) ** j * n * math.comb(top - s, j)
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return HilbertSeries(tuple(num), top, g)
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Koszul sign of sorting the concatenation of two ascending vertex lists."""
-    inversions = sum(1 for a in left for b in right if a > b)
-    return -1 if inversions & 1 else 1
+def _sign(a: Monomial, b: Monomial, mode: GradingMode) -> int:
+    """Koszul sign of the product a b in ascending vertex order; 1 unless exterior."""
+    inversions = sum(u > v for u in a.support for v in b.support)
+    return -1 if mode is GradingMode.EXTERIOR and inversions & 1 else 1
 
 
 def multiply(
     a: Monomial, b: Monomial, K: SimplicialComplex, mode: GradingMode
 ) -> tuple[int, Monomial] | None:
     """Product in the quotient algebra: None when it lands in the relation ideal."""
-    union = a.support_mask | b.support_mask
-    if union not in K.face_masks:
+    if a.support_mask | b.support_mask not in K.face_masks:
         return None
-    if mode is GradingMode.EXTERIOR:
-        if a.support_mask & b.support_mask:
-            return None
-        sign = _merge_sign(a.support, b.support)
-        return sign, Monomial.from_vertices(a.support + b.support)
     exps = dict(a.powers)
     for v, e in b.powers:
         exps[v] = exps.get(v, 0) + e
-    return 1, Monomial.from_exponents(exps)
+    product = Monomial.from_exponents(exps)
+    if mode is GradingMode.EXTERIOR and not product.is_squarefree():
+        return None
+    return _sign(a, b, mode), product
 
 
 def coproduct(z: Monomial, mode: GradingMode) -> list[tuple[int, Monomial, Monomial]]:
@@ -231,31 +224,11 @@ def coproduct(z: Monomial, mode: GradingMode) -> list[tuple[int, Monomial, Monom
 
     Dual basis elements of the coalgebra share the ``Monomial`` representation.
     """
-    if mode is GradingMode.EXTERIOR:
-        if not z.is_squarefree():
-            raise ValueError("exterior coalgebra elements are squarefree")
-        support = z.support
-        out = []
-        for r in range(len(support) + 1):
-            for left in itertools.combinations(support, r):
-                right = tuple(v for v in support if v not in left)
-                out.append(
-                    (
-                        _merge_sign(left, right),
-                        Monomial.from_vertices(left),
-                        Monomial.from_vertices(right),
-                    )
-                )
-        return out
-    ranges = [range(e + 1) for _, e in z.powers]
-    verts = z.support
+    if mode is GradingMode.EXTERIOR and not z.is_squarefree():
+        raise ValueError("exterior coalgebra elements are squarefree")
     out = []
-    for pick in itertools.product(*ranges):
-        left = Monomial.from_exponents(
-            {v: e for v, e in zip(verts, pick)}
-        )
-        right = Monomial.from_exponents(
-            {v: e0 - e for (v, e0), e in zip(z.powers, pick)}
-        )
-        out.append((1, left, right))
+    for pick in itertools.product(*(range(e + 1) for _, e in z.powers)):
+        left = Monomial(tuple((v, e) for (v, _), e in zip(z.powers, pick) if e))
+        right = Monomial(tuple((v, e0 - e) for (v, e0), e in zip(z.powers, pick) if e0 > e))
+        out.append((_sign(left, right, mode), left, right))
     return out

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -14,6 +15,11 @@ from combitop.simplicial import (
 )
 
 from oracles import random_complexes
+
+# Every property test draws the same examples on every run, keeps no example
+# database and has no per-example deadline; each test sets its own max_examples.
+settings.register_profile("combitop", derandomize=True, database=None, deadline=None)
+settings.load_profile("combitop")
 
 
 @pytest.fixture(scope="session")

@@ -143,6 +143,52 @@ def brute_monomial_count(K: SimplicialComplex, mode: str, degree: int) -> int:
     return count
 
 
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` positive integers summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        prev = 0
+        out = []
+        for c in (*cuts, total):
+            out.append(c - prev)
+            prev = c
+        yield tuple(out)
+
+
+def brute_monomial_basis(K: SimplicialComplex, mode: str, degree: int) -> list[tuple]:
+    """Basis monomials as (vertex, exponent) tuples: every composition over every face, sorted.
+
+    The order is by descending exponent vector.
+    """
+    if degree == 0:
+        return [()]
+    step = 2 if mode == "complex" else 1
+    if degree % step:
+        return []
+    total = degree // step
+    out = []
+    for f in K.face_masks:
+        s = popcount(f)
+        # an exterior monomial is squarefree: its one composition is all ones
+        if s == 0 or s > total or (mode == "exterior" and s < total):
+            continue
+        face = vertices_of(f)
+        for comp in _compositions(total, s):
+            out.append(tuple(zip(face, comp)))
+
+    def key(powers):
+        vec = [0] * K.m
+        for v, e in powers:
+            vec[v - 1] = -e
+        return vec
+
+    out.sort(key=key)
+    return out
+
+
 # -- integer linear algebra ----------------------------------------------
 
 

@@ -122,7 +122,7 @@ def test_maximal_faces_match_brute_force(test_complexes):
         check_maximal_faces(K)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(small_complexes(max_m=10))
 def test_maximal_faces_match_brute_force_drawn(K):
     check_maximal_faces(K)
@@ -591,6 +591,17 @@ GOLDEN = [
         J([[[1, 1], [2, 1]], [[1, 1], [3, 1]], [[2, 1], [3, 1]]]),
     ),
     (
+        ["sr-basis", "--mode", "real", "--degree", "3", "BOUNDARY3_NAMED"],
+        lines(
+            "v1^3", "v1^2 v2", "v1^2 v3", "v1 v2^2", "v1 v3^2", "v2^3", "v2^2 v3", "v2 v3^2",
+            "v3^3", "count: 9",
+        ),
+        J([
+            [[1, 3]], [[1, 2], [2, 1]], [[1, 2], [3, 1]], [[1, 1], [2, 2]], [[1, 1], [3, 2]],
+            [[2, 3]], [[2, 2], [3, 1]], [[2, 1], [3, 2]], [[3, 3]],
+        ]),
+    ),
+    (
         ["sr-basis", "--mode", "real", "--degree", "2", "SQUARE"],
         lines("v1^2", "v1 v2", "v1 v4", "v2^2", "v2 v3", "v3^2", "v3 v4", "v4^2", "count: 8"),
         J([
@@ -790,7 +801,7 @@ def exit_code(argv) -> int:
             return exc.code
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(
     documents(),
     documents(),

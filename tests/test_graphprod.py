@@ -202,7 +202,7 @@ def reduced_words(draw):
     return graph.adjacency, _fully_reduce(kind, graph.adjacency, list(w.letters))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(reduced_words())
 def test_blocks_match_peeling_oracle(case):
     adj, reduced = case

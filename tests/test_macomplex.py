@@ -178,7 +178,7 @@ def test_projective_plane_model_has_torsion():
 RP2_AND_POINT = SimplicialComplex.from_maximal_faces(7, [list(f) for f in RP2.faces()] + [[7]])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(small_complexes())
 @example(RP2)
 @example(RP2_AND_POINT)
@@ -190,7 +190,7 @@ def test_splitting_matches_cubical_model(K):
         assert moment_angle_homology(K, mod2) == real_moment_angle(K).homology(mod2=mod2)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(small_complexes())
 @example(polygon_boundary(5))
 def test_models_are_polyhedral_products(K):

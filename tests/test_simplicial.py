@@ -82,13 +82,13 @@ def test_missing_faces_match_brute_force(test_complexes):
         assert got == brute_missing_faces(K)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(small_complexes(max_m=10))
 def test_missing_faces_match_brute_force_drawn(K):
     assert {frozenset(w) for w in K.missing_faces()} == brute_missing_faces(K)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(small_complexes(max_m=10))
 def test_extension_map_and_facets_match_brute_force_drawn(K):
     ext = K.extension_masks()

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from combitop.simplicial import full_simplex, polygon_boundary, simplex_boundary
+from combitop.simplicial import discrete_complex, full_simplex, polygon_boundary, simplex_boundary
 from combitop.sralg import (
     ONE,
     GradingMode,
@@ -15,7 +15,7 @@ from combitop.sralg import (
     multiply,
 )
 
-from oracles import brute_monomial_count, small_complexes
+from oracles import brute_monomial_basis, brute_monomial_count, small_complexes
 
 MODES = list(GradingMode)
 
@@ -75,6 +75,21 @@ def test_basis_counts_match_brute_force(test_complexes):
                 assert len(monomial_basis(K, mode, d)) == expected
 
 
+@settings(max_examples=100)
+@given(small_complexes(max_m=7))
+def test_basis_order_matches_sorted_compositions_drawn(K):
+    for mode in MODES:
+        for d in range(7):
+            basis = [m.powers for m in monomial_basis(K, mode, d)]
+            assert basis == brute_monomial_basis(K, mode.value, d), (mode, d)
+
+
+def test_basis_large_exponent_on_many_vertices():
+    # one monomial per vertex, each v^100000: the walk tries no smaller exponent
+    basis = monomial_basis(discrete_complex(64), GradingMode.REAL, 100_000)
+    assert basis == [mono((v, 100_000)) for v in range(1, 65)]
+
+
 def test_hilbert_series_single_vertex():
     series = hilbert_series(full_simplex(1), GradingMode.REAL)
     assert series.numerator == (1,)
@@ -103,7 +118,7 @@ def test_hilbert_series_matches_basis(test_complexes):
                 assert series.coefficient(d) == len(monomial_basis(K, mode, d))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(small_complexes(max_m=5))
 def test_hilbert_coefficients_match_brute_force_drawn(K):
     for mode in MODES:
