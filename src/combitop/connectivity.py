@@ -56,10 +56,8 @@ def pair_connectivity(K: SimplicialComplex, L: SimplicialComplex):
         raise ValueError("complexes must share a vertex set")
     if not K.face_masks <= L.face_masks:
         raise ValueError("first complex must be a subcomplex of the second")
-    if L.face_masks <= K.flagify().face_masks:
-        c = connectivity_report(K).c
-    else:
-        c = 1
+    # L lies in flag(K), the clique complex of K's 1-skeleton, exactly when it adds no edge
+    c = connectivity_report(K).c if L.adjacency_masks() == K.adjacency_masks() else 1
     return c, derived_degrees(c)
 
 

@@ -12,6 +12,7 @@ set is a face.
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 from typing import Iterable
 
@@ -81,13 +82,12 @@ def chain_count(K: SimplicialComplex, n: int) -> int:
     """Strictly increasing chains sigma_0 < ... < sigma_n of faces (incl. empty)."""
     if n < 0:
         raise ValueError("chain length must be >= 0")
-    # counts[f]: chains ending at f.  A chain one step longer ending at f
-    # extends a chain ending at a proper submask of f, and every submask of
-    # a face is a face.
-    counts = dict.fromkeys(K.face_masks, 1)
-    for _ in range(n):
-        counts = {f: sum(counts[g] for g in submasks(f)) - c for f, c in counts.items()}
-    return sum(counts.values())
+    # a chain ending at an s-face (the empty face first) sets the step 0..n at
+    # which each vertex joins, every step 1..n used: include-exclude j unused steps
+    return sum(
+        (-1) ** j * math.comb(n, j) * count * (n + 1 - j) ** s
+        for s, count in enumerate((1, *K.f_vector())) for j in range(n + 1)
+    )
 
 
 def cubical_model(K: SimplicialComplex) -> CubicalComplex:

@@ -97,11 +97,6 @@ def xor_rank(vectors: Iterable[int]) -> int:
     return len(pivots)
 
 
-def gf2_rank(mat: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix reduced mod 2."""
-    return xor_rank(sum(1 << j for j, a in enumerate(row) if a & 1) for row in mat)
-
-
 def sparse_smith_normal_form(columns: Iterable[Column]) -> list[int]:
     """``smith_normal_form`` of the matrix with these sparse columns.
 
@@ -198,8 +193,8 @@ class ChainComplex:
     """Graded free Z-modules with integer boundary matrices.
 
     ``boundaries[k-1]`` is the matrix of d_k: C_k -> C_{k-1}, with
-    ranks[k-1] rows and ranks[k] columns.  d o d = 0 is checked eagerly, by
-    ``check_square_zero``: a violation signals a boundary-sign bug upstream.
+    ranks[k-1] rows and ranks[k] columns.  ``homology`` reduces their sparse
+    columns, on which d o d = 0 is checked eagerly: see ``check_square_zero``.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence[Matrix]):
@@ -212,22 +207,26 @@ class ChainComplex:
         for k, b in enumerate(self.boundaries, start=1):
             if len(b) != self.ranks[k - 1] or any(len(row) != self.ranks[k] for row in b):
                 raise ValueError(f"boundary {k} has the wrong shape")
-        # one index over the cells of all degrees, degree 0 first
+        # sparse columns of each d_k, over one index of the cells of all degrees
         start = [sum(self.ranks[:k]) for k in range(len(self.ranks))]
-        check_square_zero([{}] * sum(self.ranks[:1]) + [
-            {start[k - 1] + i: row[j] for i, row in enumerate(b) if row[j]}
+        self._columns = [
+            [{start[k - 1] + i: row[j] for i, row in enumerate(b) if row[j]}
+             for j in range(self.ranks[k])]
             for k, b in enumerate(self.boundaries, start=1)
-            for j in range(self.ranks[k])
-        ])
+        ]
+        check_square_zero([{}] * sum(self.ranks[:1]) + [c for cols in self._columns for c in cols])
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
     def homology(self, mod2: bool = False) -> list[HomologyGroup]:
         """H_k = ker d_k / im d_{k+1} for each dimension, bottom up."""
-        if mod2:
-            return homology_groups(self.ranks, [[1] * gf2_rank(b) for b in self.boundaries])
-        return homology_groups(self.ranks, [smith_normal_form(b) for b in self.boundaries])
+        if mod2:  # the Smith diagonal is rank-many 1s, the rank of the odd entries
+            return homology_groups(self.ranks, [
+                [1] * xor_rank(sum(1 << i for i, a in col.items() if a & 1) for col in cols)
+                for cols in self._columns
+            ])
+        return homology_groups(self.ranks, list(map(sparse_smith_normal_form, self._columns)))
 
 
 class CubicalComplex:

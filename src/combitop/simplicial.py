@@ -15,6 +15,10 @@ from ._bits import Value, iter_vertices, mask_of, popcount, setfield, submasks, 
 
 MAX_VERTICES = 64
 
+#: ``flagify`` raises ValueError past this many cliques, the empty one included:
+#: the same figure as the CLI's bound on the faces a document may span.
+MAX_FLAG_FACES = 1 << 20
+
 
 def _face_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (popcount(mask), vertices_of(mask))
@@ -187,6 +191,8 @@ class SimplicialComplex(Value):
         while stack:
             mask, common = stack.pop()
             cliques.add(mask)
+            if len(cliques) > MAX_FLAG_FACES:
+                raise ValueError(f"flag complex too large: more than {MAX_FLAG_FACES} faces")
             # extend only by vertices above the current maximum
             top = mask.bit_length()
             ext = common >> top << top

@@ -59,6 +59,13 @@ def brute_clique_complex(K: SimplicialComplex) -> set[frozenset[int]]:
     return out
 
 
+def flag_pair_c(K: SimplicialComplex, L: SimplicialComplex):
+    """c(K, L) for K <= L through the flagification: K's c when flag(K) holds L, else 1."""
+    from combitop.connectivity import connectivity_report
+
+    return connectivity_report(K).c if L.face_masks <= K.flagify().face_masks else 1
+
+
 def brute_maximal_faces(K: SimplicialComplex) -> list[list[int]]:
     """Facets as sorted vertex lists, ordered by (size, vertices): every face against every other."""
     face_sets = [set(f) for f in K.faces() if f]

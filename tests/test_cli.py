@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combitop import cli
+from combitop import cli, facecat
 from combitop._bits import vertices_of
 from combitop.cli import emit_complex, main, parse_complex
+from combitop.facecat import cubical_model
 from combitop.simplicial import (
     SimplicialComplex,
     discrete_complex,
@@ -333,16 +334,29 @@ def test_ma_homology_too_many_vertices_exit_1(write_doc, capsys):
     assert code == 1
 
 
+def run_capped(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process under a 1 GiB address-space cap and a 60 s timeout.
+
+    A CLI that builds an object too large for the input fails on the cap or the timeout.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
+    return subprocess.run(
+        [sys.executable, "-m", "combitop.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+
+
+def complete_graph(m: int) -> dict:
+    """The document of the complete graph on m vertices, as a 1-dimensional complex."""
+    edges = [[i, j] for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    return {"vertices": m, "maximal_faces": edges}
+
+
 def test_large_facet_refused_exit_1(write_doc):
     # 2^40 submasks: the estimate refuses the document before enumerating any
     doc = {"vertices": 64, "maximal_faces": [list(range(1, 41)), [63, 64]]}
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    # a CLI that enumerates anyway fails on the 1 GiB cap or the timeout
-    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
-    done = subprocess.run(
-        [sys.executable, "-m", "combitop.cli", "info", write_doc(doc)],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
-    )
+    done = run_capped("info", write_doc(doc))
     assert done.returncode == 1
     assert done.stdout == ""
     (line,) = done.stderr.splitlines()
@@ -350,32 +364,23 @@ def test_large_facet_refused_exit_1(write_doc):
 
 
 def test_large_face_category_model_refused_exit_1(write_doc):
-    # 2^19 faces pass the parse bound, but the model has 3^19 cells
+    # 2^19 faces pass the parse bound, and the model's 3^19 cells are counted, not built
     doc = {"vertices": 19, "maximal_faces": [list(range(1, 20))]}
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    # a CLI that builds the cells anyway fails on the 1 GiB cap or the timeout
-    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
-    done = subprocess.run(
-        [sys.executable, "-m", "combitop.cli", "bcat-cells", write_doc(doc)],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
-    )
-    assert done.returncode == 1
-    assert done.stdout == ""
-    (line,) = done.stderr.splitlines()
-    assert line.startswith("error: ") and f"{3**19} cells" in line
+    done = run_capped("bcat-cells", write_doc(doc))
+    assert done.returncode == 0
+    assert done.stderr == ""
+    row = ", ".join(str(math.comb(19, k) << (19 - k)) for k in range(20))
+    assert done.stdout.splitlines() == [
+        f"cells by dimension: ({row})",
+        f"total cells: {3**19}",
+        "euler characteristic: 1",
+    ]
 
 
 def test_large_monomial_basis_refused_exit_1(write_doc):
     # 4,096 faces pass the parse bound, but degree 16 has C(27, 11) monomials
     doc = {"vertices": 12, "maximal_faces": [list(range(1, 13))]}
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    # a CLI that enumerates the basis anyway fails on the 1 GiB cap or the timeout
-    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # noqa: E731
-    done = subprocess.run(
-        [sys.executable, "-m", "combitop.cli", "sr-basis", "--mode", "real", "--degree", "16",
-         write_doc(doc)],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
-    )
+    done = run_capped("sr-basis", "--mode", "real", "--degree", "16", write_doc(doc))
     assert done.returncode == 1
     assert done.stdout == ""
     (line,) = done.stderr.splitlines()
@@ -391,16 +396,6 @@ def test_monomial_basis_bound(write_doc, capsys, monkeypatch):
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert err == "error: monomial basis too large: 6 monomials, more than 5\n"
-
-
-def test_face_category_cell_bound(write_doc, capsys, monkeypatch):
-    path = write_doc(BOUNDARY3)  # 1 + 3 * 2 + 3 * 4 = 19 cells
-    monkeypatch.setattr(cli, "MAX_CUBICAL_CELLS", 19)
-    assert run(capsys, ["bcat-cells", path])[0] == 0
-    monkeypatch.setattr(cli, "MAX_CUBICAL_CELLS", 18)
-    code, out, err = run(capsys, ["bcat-cells", path])
-    assert (code, out) == (1, "")
-    assert err == "error: face-category model too large: 19 cells, more than 18\n"
 
 
 def test_face_estimate_bound(write_doc, capsys, monkeypatch):
@@ -422,6 +417,35 @@ def test_bcat_cells(write_doc, capsys):
     ]
 
 
+@settings(max_examples=60)
+@given(small_complexes())
+def test_bcat_cells_match_cubical_model(K):
+    model = cubical_model(K)
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/doc.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(emit_complex(K), fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--json", "bcat-cells", path]) == 0
+    assert json.loads(out.getvalue()) == {
+        "cells_by_dimension": list(model.cell_counts()),
+        "total": model.cell_count(),
+        "euler_characteristic": model.euler_characteristic(),
+    }
+
+
+def test_bcat_cells_builds_no_cell(write_doc, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bcat-cells built a cubical cell")
+
+    monkeypatch.setattr(facecat, "CubicalCell", refuse)
+    monkeypatch.setattr(facecat, "cubical_model", refuse)
+    code, out, _ = run(capsys, ["bcat-cells", write_doc(BOUNDARY3)])
+    assert code == 0
+    assert out.splitlines()[:2] == ["cells by dimension: (7, 9, 3)", "total cells: 19"]
+
+
 def test_arrangement_command(write_doc, capsys):
     doc = {"vertices": 3, "maximal_faces": []}
     code, out, _ = run(capsys, ["arrangement", "--field", "C", write_doc(doc)])
@@ -439,6 +463,25 @@ def test_pair_connectivity_command(write_doc, capsys):
     code, out, _ = run(capsys, ["pair-connectivity", "--with", lpath, kpath])
     assert code == 0
     assert "c(K,L): 1" in out
+
+
+@pytest.mark.parametrize("m", [40, 64])
+def test_pair_connectivity_complete_graph(write_doc, m):
+    # L adds a triangle, not an edge, so c(K,L) is K's c: the dimension of its missing triangles
+    K = complete_graph(m)
+    L = {**K, "maximal_faces": K["maximal_faces"] + [[1, 2, 3]]}
+    done = run_capped("pair-connectivity", "--with", write_doc(L, "l.json"), write_doc(K, "k.json"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == "c(K,L): 2"
+
+
+@pytest.mark.parametrize("m", [40, 64])
+def test_flagify_complete_graph_refused(write_doc, m):
+    # the clique complex has 2^m faces: the walk stops past 2^20
+    done = run_capped("flagify", write_doc(complete_graph(m)))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"error: flag complex too large: more than {2**20} faces\n"
 
 
 def test_pair_connectivity_not_subcomplex_exit_1(write_doc, capsys):

@@ -1,9 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from combitop._bits import popcount
 from combitop.connectivity import (
     connectivity_report,
+    derived_degrees,
     flag_equivalence,
     pair_connectivity,
 )
@@ -15,7 +19,20 @@ from combitop.simplicial import (
     simplex_boundary,
 )
 
+from oracles import flag_pair_c, small_complexes
+
 INF = math.inf
+
+
+@st.composite
+def subcomplex_pairs(draw):
+    """(K, L): L adds to K the faces of L above dimension 1, which lie inside cliques
+    of K, or the star of one edge."""
+    L = draw(small_complexes().filter(lambda L: L.dim >= 2))
+    if draw(st.booleans()):
+        return L.skeleton(1), L
+    e = draw(st.sampled_from(sorted(f for f in L.face_masks if popcount(f) == 2)))
+    return SimplicialComplex(L.m, frozenset(f for f in L.face_masks if f & e != e)), L
 
 
 def test_simplex_boundary_report():
@@ -58,6 +75,27 @@ def test_pair_connectivity_with_flagification(test_complexes):
         assert c == connectivity_report(K).c
         assert degrees["coxeter"] == c - 1
         assert degrees["circulation"] == 2 * c
+
+
+@settings(max_examples=150)
+@given(subcomplex_pairs())
+def test_pair_connectivity_matches_flagify(pair):
+    K, L = pair
+    c, degrees = pair_connectivity(K, L)
+    assert c == flag_pair_c(K, L)
+    assert degrees == derived_degrees(c)
+
+
+def test_pair_connectivity_never_flagifies(test_complexes, monkeypatch):
+    cases = [(K, L) for K in test_complexes for L in (K, K.flagify(), full_simplex(K.m))]
+    expected = [flag_pair_c(K, L) for K, L in cases]
+
+    def refuse(self):
+        raise AssertionError("pair_connectivity built the flagification")
+
+    monkeypatch.setattr(SimplicialComplex, "flagify", refuse)
+    assert [pair_connectivity(K, L)[0] for K, L in cases] == expected
+    assert 1 in expected and INF in expected and 2 in expected
 
 
 def test_pair_connectivity_falls_to_one():

@@ -1,6 +1,6 @@
-import itertools
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combitop.facecat import (
     CubicalCell,
@@ -12,16 +12,17 @@ from combitop.facecat import (
 from combitop.homology import HomologyGroup
 from combitop.simplicial import discrete_complex, full_simplex, simplex_boundary
 
-from oracles import face_sets
+from oracles import face_sets, small_complexes
 
 
 def brute_chain_count(K, n):
+    """Chains of n + 1 faces, enumerated one by one: each face followed by every strict superset."""
     faces = [frozenset(f) for f in K.faces()]
-    count = 0
-    for chain in itertools.permutations(faces, n + 1):
-        if all(chain[i] < chain[i + 1] for i in range(n)):
-            count += 1
-    return count
+
+    def above(face, steps):
+        return 1 if not steps else sum(above(g, steps - 1) for g in faces if face < g)
+
+    return sum(above(f, n) for f in faces)
 
 
 def test_object_count():
@@ -42,6 +43,12 @@ def test_chain_count_triangle_boundary():
     assert chain_count(K, 2) == 6
     assert chain_count(K, 1) == brute_chain_count(K, 1)
     assert chain_count(K, 2) == brute_chain_count(K, 2)
+
+
+@settings(max_examples=60)
+@given(small_complexes(), st.integers(0, 4))
+def test_chain_count_matches_brute_force(K, n):
+    assert chain_count(K, n) == brute_chain_count(K, n)
 
 
 def test_chain_alternating_sum_is_one(test_complexes):
