@@ -8,11 +8,12 @@ Three kinds are supported, differing only in the vertex group:
   the circle group.
 
 Words are sequences of (vertex, value) letters; letters at vertices joined
-by an edge commute.  ``normal_form`` merges letters at equal vertices
-whenever the letters between them commute past, then fixes a canonical
-order: the Cartier-Foata blocks, which are the levels of the word's heap
-(Viennot), each sorted by vertex.  Two words are equal in the group exactly
-when their normal forms agree letterwise.
+by an edge commute.  ``normal_form`` reduces a word in one left-to-right
+pass, appending each letter to the reduced prefix or merging it into the
+last letter at its vertex that only commuting letters follow (Green), then
+fixes a canonical order: the Cartier-Foata blocks, which are the levels of
+the word's heap (Viennot), each sorted by vertex.  Two words are equal in
+the group exactly when w1 * w2^-1 reduces to the empty word.
 """
 
 from __future__ import annotations
@@ -141,31 +142,29 @@ def _check_ambient(w1: GroupWord, w2: GroupWord) -> None:
         raise ValueError("words live in different groups")
 
 
-def _fully_reduce(kind: str, adj: tuple[int, ...], letters: list[Letter]) -> list[Letter]:
-    """Merge same-vertex letters whenever everything between commutes with them."""
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for i in range(n):
-            v = letters[i][0]
-            neighbors = adj[v]
-            for j in range(i + 1, n):
-                vj = letters[j][0]
-                if vj == v:
-                    merged = _reduce(kind, letters[i][1] + letters[j][1])
-                    del letters[j]
-                    if merged is None:
-                        del letters[i]
-                    else:
-                        letters[i] = (v, merged)
-                    changed = True
-                    break
-                if not (neighbors >> (vj - 1)) & 1:
-                    break
-            if changed:
-                break
-    return letters
+def _fully_reduce(kind: str, adj: tuple[int, ...], letters: Iterable[Letter]) -> list[Letter]:
+    """The reduced word, in one pass: each letter joins a reduced prefix.
+
+    A letter at v scans back past the letters that commute with v (v itself
+    does not).  If it stops at a letter at v the two merge, dropping an
+    identity; changing or deleting a letter that only letters commuting with
+    v follow keeps the word reduced.  Otherwise the letter is pushed.
+    """
+    out: list[Letter] = []
+    for v, x in letters:
+        neighbors = adj[v]
+        i = len(out) - 1
+        while i >= 0 and neighbors >> (out[i][0] - 1) & 1:
+            i -= 1
+        if i < 0 or out[i][0] != v:
+            out.append((v, x))
+            continue
+        merged = _reduce(kind, out[i][1] + x)
+        if merged is None:
+            del out[i]
+        else:
+            out[i] = (v, merged)
+    return out
 
 
 def _block_split(adj: tuple[int, ...], letters: Sequence[Letter]) -> list[list[Letter]]:
@@ -199,18 +198,18 @@ def normal_form(w: GroupWord) -> GroupWord:
 
 
 def equal(w1: GroupWord, w2: GroupWord) -> bool:
-    _check_ambient(w1, w2)
-    return normal_form(w1).letters == normal_form(w2).letters
+    """True when w1 * w2^-1 reduces to the empty word."""
+    return not _fully_reduce(w1.kind, w1.graph.adjacency, (w1 * w2.inverse()).letters)
 
 
 def wordlength(w: GroupWord) -> int:
     """Syllable count of the reduced word."""
-    return len(_fully_reduce(w.kind, w.graph.adjacency, list(w.letters)))
+    return len(_fully_reduce(w.kind, w.graph.adjacency, w.letters))
 
 
 def cartier_foata_blocks(w: GroupWord) -> list[tuple[Letter, ...]]:
     """Unique decomposition of the reduced word into maximal commuting blocks."""
-    reduced = _fully_reduce(w.kind, w.graph.adjacency, list(w.letters))
+    reduced = _fully_reduce(w.kind, w.graph.adjacency, w.letters)
     return [tuple(block) for block in _block_split(w.graph.adjacency, reduced)]
 
 

@@ -124,16 +124,20 @@ class SimplicialComplex(Value):
 
     def edges(self) -> list[tuple[int, int]]:
         """The 1-skeleton as a sorted list of vertex pairs."""
-        out = [vertices_of(f) for f in self.face_masks if popcount(f) == 2]
-        out.sort()
-        return out  # type: ignore[return-value]
+        adj = self.adjacency_masks()
+        return [(i, j) for i in range(1, self.m + 1) for j in iter_vertices(adj[i] >> i << i)]
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbor mask per vertex (index 0 unused)."""
+        """Neighbor mask per vertex (index 0 unused), by looking up the vertex pairs."""
+        faces = self.face_masks
         adj = [0] * (self.m + 1)
-        for i, j in self.edges():
-            adj[i] |= 1 << (j - 1)
-            adj[j] |= 1 << (i - 1)
+        for i in range(1, self.m + 1):
+            bit = 1 << (i - 1)
+            for j in range(i + 1, self.m + 1):
+                other = 1 << (j - 1)
+                if (bit | other) in faces:
+                    adj[i] |= other
+                    adj[j] |= bit
         return tuple(adj)
 
     # -- missing faces and flag structure ----------------------------

@@ -264,6 +264,35 @@ def single_moves(kind: str, adj: tuple[int, ...], w: tuple) -> list[tuple]:
     return out
 
 
+def restart_reduce(kind: str, adj: tuple[int, ...], letters: list) -> list:
+    """Reduce by merging same-vertex letters whenever everything between commutes
+    with them, restarting from the first letter after every merge (quadratic or
+    worse in the word length)."""
+    changed = True
+    while changed:
+        changed = False
+        n = len(letters)
+        for i in range(n):
+            v = letters[i][0]
+            neighbors = adj[v]
+            for j in range(i + 1, n):
+                vj = letters[j][0]
+                if vj == v:
+                    merged = _merge_value(kind, letters[i][1], letters[j][1])
+                    del letters[j]
+                    if merged is None:
+                        del letters[i]
+                    else:
+                        letters[i] = (v, merged)
+                    changed = True
+                    break
+                if not (neighbors >> (vj - 1)) & 1:
+                    break
+            if changed:
+                break
+    return letters
+
+
 def brute_block_split(adj: tuple[int, ...], letters) -> list[list]:
     """Cartier-Foata blocks by peeling: the letters commuting with everything to
     their right form the last block; repeat on the rest.  Leftmost block first."""

@@ -677,6 +677,28 @@ GOLDEN = [
         lines("t1@3/4 t2@1/3"),
         J({"word": "t1@3/4 t2@1/3", "length": 2, "blocks": ["t1@3/4", "t2@1/3"]}),
     ),
+    # cancelling pairs inside, and a letter that blocks a merge: on SQUARE
+    # 1 and 3 do not commute, and POINTS3 has no edges
+    (
+        ["word-reduce", "--group", "artin", "SQUARE", "v1^2 v3^1 v2^1 v4^-1 v4^1 v2^-1 v1^-2"],
+        lines("v1^2 v3^1 v1^-2"),
+        J({"word": "v1^2 v3^1 v1^-2", "length": 3, "blocks": ["v1^2", "v3^1", "v1^-2"]}),
+    ),
+    (
+        ["word-reduce", "--group", "artin", "SQUARE", "v1^1 v3^-2 v2^1 v4^3 v4^-3 v2^-1 v3^2 v1^-1"],
+        lines("e"),
+        J({"word": "e", "length": 0, "blocks": []}),
+    ),
+    (
+        ["word-reduce", "--group", "coxeter", "SQUARE", "a1 a3 a2 a4 a4 a2 a1"],
+        lines("a1 a3 a1"),
+        J({"word": "a1 a3 a1", "length": 3, "blocks": ["a1", "a3", "a1"]}),
+    ),
+    (
+        ["word-reduce", "--group", "circulation", "POINTS3", "t1@1/4 t2@1/3 t3@1/2 t3@1/2 t1@1/2"],
+        lines("t1@1/4 t2@1/3 t1@1/2"),
+        J({"word": "t1@1/4 t2@1/3 t1@1/2", "length": 3, "blocks": ["t1@1/4", "t2@1/3", "t1@1/2"]}),
+    ),
     (
         ["word-equal", "--group", "artin", "SQUARE", "v1^1 v3^1", "v3^1 v1^1"],
         lines("false"),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     all_words,
     artin_alphabet,
     random_word,
+    restart_reduce,
 )
 
 
@@ -190,16 +192,51 @@ _LETTER_VALUES = {
 
 
 @st.composite
-def reduced_words(draw):
-    """A graph on at most 10 vertices, a group kind, and a reduced word of at most 60 letters."""
+def graphs_and_kinds(draw):
+    """A group kind and a commutation graph on at most 10 vertices."""
     m = draw(st.integers(1, 10))
     pairs = list(itertools.combinations(range(1, m + 1), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    graph = CommutationGraph.from_edges(m, edges)
-    kind = draw(st.sampled_from(KINDS))
-    letter = st.tuples(st.integers(1, m), _LETTER_VALUES[kind])
-    w = word(kind, graph, draw(st.lists(letter, max_size=60)))
-    return graph.adjacency, _fully_reduce(kind, graph.adjacency, list(w.letters))
+    return draw(st.sampled_from(KINDS)), CommutationGraph.from_edges(m, edges)
+
+
+def words_in(kind, graph, max_size=60):
+    """Words of the kind over the graph with at most max_size letters."""
+    letter = st.tuples(st.integers(1, graph.m), _LETTER_VALUES[kind])
+    return st.lists(letter, max_size=max_size).map(lambda letters: word(kind, graph, letters))
+
+
+def shuffled_padded(draw, w):
+    """The same element as w: commuting neighbours swapped, pairs x x^-1 inserted."""
+    letters = list(w.letters)
+    adj = w.graph.adjacency
+    for i in draw(st.lists(st.integers(0, len(letters)), max_size=len(letters))):
+        if i + 1 < len(letters) and adj[letters[i][0]] >> (letters[i + 1][0] - 1) & 1:
+            letters[i], letters[i + 1] = letters[i + 1], letters[i]
+    for pad in draw(st.lists(words_in(w.kind, w.graph, 3), max_size=4)):
+        pos = draw(st.integers(0, len(letters)))
+        letters[pos:pos] = (pad * pad.inverse()).letters
+    return GroupWord(w.kind, w.graph, tuple(letters))
+
+
+@st.composite
+def word_cases(draw):
+    """A word w u u^-1 w^-1, a shuffled and padded copy of w, or w itself."""
+    kind, graph = draw(graphs_and_kinds())
+    w = draw(words_in(kind, graph))
+    shape = draw(st.sampled_from(("cancelling", "shuffled", "random")))
+    if shape == "cancelling":
+        u = draw(words_in(kind, graph, 8))
+        return w * u * u.inverse() * w.inverse()
+    return shuffled_padded(draw, w) if shape == "shuffled" else w
+
+
+@st.composite
+def reduced_words(draw):
+    """A graph's adjacency and a reduced word of at most 60 letters."""
+    kind, graph = draw(graphs_and_kinds())
+    w = draw(words_in(kind, graph))
+    return graph.adjacency, _fully_reduce(kind, graph.adjacency, w.letters)
 
 
 @settings(max_examples=300)
@@ -207,6 +244,56 @@ def reduced_words(draw):
 def test_blocks_match_peeling_oracle(case):
     adj, reduced = case
     assert _block_split(adj, reduced) == brute_block_split(adj, reduced)
+
+
+@settings(max_examples=400)
+@given(word_cases())
+def test_single_pass_matches_restart_oracle(w):
+    adj = w.graph.adjacency
+    fast = _fully_reduce(w.kind, adj, w.letters)
+    slow = restart_reduce(w.kind, adj, list(w.letters))
+    assert len(fast) == len(slow)
+    assert _block_split(adj, fast) == _block_split(adj, slow)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words of one group: a copy of the first, that plus a letter, or another word."""
+    w1 = draw(word_cases())
+    shape = draw(st.sampled_from(("copy", "copy plus a letter", "other")))
+    if shape == "other":
+        return w1, draw(words_in(w1.kind, w1.graph))
+    w2 = shuffled_padded(draw, w1)
+    if shape == "copy plus a letter":
+        pos = draw(st.integers(0, len(w2)))
+        extra = draw(words_in(w1.kind, w1.graph, 1).filter(len))
+        w2 = GroupWord(w1.kind, w1.graph, w2.letters[:pos] + extra.letters + w2.letters[pos:])
+    return w1, w2
+
+
+@settings(max_examples=300)
+@given(word_pairs())
+def test_equal_matches_normal_forms(pair):
+    w1, w2 = pair
+    assert equal(w1, w2) == (normal_form(w1).letters == normal_form(w2).letters)
+
+
+def test_cancelling_word_reduces_in_one_pass():
+    # w w^-1 with 20,000 letters: the restart loop takes about 30 s, one pass
+    # about 20 ms
+    graph = CommutationGraph.from_complex(polygon_boundary(6))
+    w = word("artin", graph, random_word("artin", 6, 10_000, random.Random(15)))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("normal_form(w * w^-1) took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        assert normal_form(w * w.inverse()).letters == ()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _series_inverse(a: list[int], n: int) -> list[int]:

@@ -221,3 +221,14 @@ def test_random_complexes_are_valid():
     for K in random_complexes(20, 6, seed=3):
         assert 0 in K.face_masks
         assert len(K.f_vector()) == K.dim + 1
+
+
+@settings(max_examples=200)
+@given(small_complexes(max_m=10))
+def test_edges_and_adjacency_match_face_scan(K):
+    pairs = sorted(tuple(sorted(f)) for f in face_sets(K) if len(f) == 2)
+    assert K.edges() == pairs
+    adj = K.adjacency_masks()
+    assert adj[0] == 0 and len(adj) == K.m + 1
+    for i in range(1, K.m + 1):
+        assert list(vertices_of(adj[i])) == sorted({*(j for e in pairs if i in e for j in e)} - {i})
