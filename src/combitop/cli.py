@@ -11,22 +11,26 @@ input errors.  All output is deterministically ordered.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
+import types
 
 from ._bits import popcount, vertices_of
-from .arrangement import FIELDS as ARRANGEMENT_FIELDS
 from .arrangement import arrangement as build_arrangement
 from .simplicial import MAX_VERTICES, SimplicialComplex, facet_masks
 
 # Each subcommand imports the library modules it runs, so a process loads
 # only those: graphprod and fractions, say, stay out of every other command.
 
-#: The ``--group`` choices: ``graphprod.KINDS``, which a test pins, written out
-#: so that the parser does not import graphprod.
-GROUP_KINDS = ("coxeter", "artin", "circulation")
+DESCRIPTION = "Combinatorial, algebraic, and homological invariants of simplicial complexes."
+USAGE = "[-h] [--json] COMMAND ..."
+
+#: The ``--group`` and ``--mode`` choices: ``graphprod.KINDS`` and the values of
+#: ``sralg.GradingMode``, written out so that the parser imports neither module.
+GROUP = "--group {coxeter,artin,circulation}"
+MODE = "--mode {real,complex,exterior}"
 
 #: Largest face-count estimate 1 + m + sum of 2^|F| over the maximal faces F
 #: that a document may have; ``from_facet_masks`` enumerates that many submasks.
@@ -302,7 +306,7 @@ def _cmd_pair_connectivity(args) -> dict:
     from . import connectivity as conn
 
     K, _ = parse_complex(args.path)
-    L, _ = parse_complex(args.with_path)
+    L, _ = parse_complex(getattr(args, "with"))
     c, degrees = conn.pair_connectivity(K, L)
     return {"c": _fmt_num(c), "d": {k: _fmt_num(v) for k, v in degrees.items()}}
 
@@ -315,82 +319,136 @@ def _text_pair_connectivity(p) -> list[str]:
     ]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="combitop",
-        description="Combinatorial, algebraic, and homological invariants of simplicial complexes.",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: One row per subcommand: runner, text renderer (None prints the JSON payload),
+#: usage and help line.  The usage is also the grammar: "--x {a,b}" takes a
+#: choice, "--x N" an int, "--x METAVAR" a string and "[--x]" is a flag; a part
+#: in brackets may be left out, and then reads None, False or, for PATH, "-".
+COMMANDS = {
+    "info": (_cmd_info, _text_info, "[PATH]", "f-vector, flag status, missing faces, connectivity"),
+    "flagify": (_cmd_flagify, None, "[PATH]", "emit the minimal flag complex containing K"),
+    "sr-hilbert": (_cmd_sr_hilbert, _text_sr_hilbert, f"{MODE} [--degree N] [PATH]",
+                   "Hilbert series of the face-ring"),
+    "sr-basis": (_cmd_sr_basis, _text_sr_basis, f"{MODE} --degree N [PATH]",
+                 "monomial basis in a fixed degree"),
+    "word-reduce": (_cmd_word_reduce, lambda res: [res["word"]], f"{GROUP} PATH WORD",
+                    "normal form of a graph-product word"),
+    "word-equal": (_cmd_word_equal, lambda res: ["true" if res["equal"] else "false"],
+                   f"{GROUP} PATH WORD1 WORD2", "decide equality of two words"),
+    "ma-homology": (_cmd_ma_homology, _text_ma_homology, "[--mod2] [PATH]",
+                    "homology of the real moment-angle complex"),
+    "bcat-cells": (_cmd_bcat_cells, _text_bcat_cells, "[PATH]",
+                   "cell counts of the face-category model"),
+    "arrangement": (_cmd_arrangement, _text_arrangement, "--field {R,C,E} [PATH]",
+                    "generators of the coordinate arrangement"),
+    "pair-connectivity": (_cmd_pair_connectivity, _text_pair_connectivity,
+                          "--with PATH_TO_L [PATH]", "connectivity of a subcomplex pair"),
+}
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"  # argparse's negative numbers, positionals; compiled on use
 
-    def add(name, func, text, help_):
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(func=func, text=text)
-        return p
 
-    p = add("info", _cmd_info, _text_info, "f-vector, flag status, missing faces, connectivity")
-    p.add_argument("path", nargs="?", default="-")
+def _grammar(usage: str) -> tuple[dict, list, dict]:
+    """The options (flag: kind) and positionals of a usage line, and the defaults of its
+    bracketed parts."""
+    kinds, slots, defaults, words = {}, [], {}, iter(usage.split())
+    for word in words:
+        name = word.strip("[]")
+        dest = name.lstrip("-").lower()
+        if name[:2] == "--":
+            value = "" if word[-1] == "]" else next(words).rstrip("]")
+            kinds[name] = (tuple(value[1:-1].split(",")) if value[:1] == "{" else
+                           {"N": int, "": bool}.get(value, str))
+        else:
+            slots.append(dest)
+        if word[0] == "[":
+            defaults[dest] = {bool: False}.get(kinds[name]) if name[0] == "-" else "-"
+    return kinds, slots, defaults
 
-    p = add("flagify", _cmd_flagify, None, "emit the minimal flag complex containing K")
-    p.add_argument("path", nargs="?", default="-")
 
-    p = add("sr-hilbert", _cmd_sr_hilbert, _text_sr_hilbert, "Hilbert series of the face-ring")
-    p.add_argument("--mode", required=True, choices=["real", "complex", "exterior"])
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("path", nargs="?", default="-")
+def _usage(name: str | None) -> str:
+    return f"usage: combitop {f'{name} {COMMANDS[name][2]}' if name else USAGE}"
 
-    p = add("sr-basis", _cmd_sr_basis, _text_sr_basis, "monomial basis in a fixed degree")
-    p.add_argument("--mode", required=True, choices=["real", "complex", "exterior"])
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("path", nargs="?", default="-")
 
-    p = add("word-reduce", _cmd_word_reduce, lambda res: [res["word"]],
-            "normal form of a graph-product word")
-    p.add_argument("--group", required=True, choices=list(GROUP_KINDS))
-    p.add_argument("path")
-    p.add_argument("word")
+def _option(token: str, flags) -> tuple | None:
+    """How argparse reads ``token``, "--" aside: None for a positional, else (flag
+    or None if unknown, explicit value or None); a unique prefix stands for a flag."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[:2] == "-h":  # "-hh" and "-h=h" are help too
+        return "--help", (token[3:] or "=" if token[2:3] == "=" else token[2:]).strip("h") or None
+    prefix, eq, value = token.partition("=")
+    for flag in ("--help", *flags):
+        if token[1] == "-" and flag.startswith(prefix):  # "--=" would match two: refused first
+            return flag, value if eq else None
+    return None if " " in token or re.match(_NEGATIVE, token) else (None, None)
 
-    p = add("word-equal", _cmd_word_equal, lambda res: ["true" if res["equal"] else "false"],
-            "decide equality of two words")
-    p.add_argument("--group", required=True, choices=list(GROUP_KINDS))
-    p.add_argument("path")
-    p.add_argument("word1")
-    p.add_argument("word2")
 
-    p = add("ma-homology", _cmd_ma_homology, _text_ma_homology,
-            "homology of the real moment-angle complex")
-    p.add_argument("--mod2", action="store_true")
-    p.add_argument("path", nargs="?", default="-")
+def _parse(argv: list[str]):
+    """The row and the arguments of a command line, read by argparse's rules.  Help and
+    a bad command line (a usage and an error line on stderr) raise SystemExit(0 or 2)."""
+    name, kinds, slots, args, unknown, took = None, {"--json": bool}, [], {"json": False}, [], False
 
-    p = add("bcat-cells", _cmd_bcat_cells, _text_bcat_cells,
-            "cell counts of the face-category model")
-    p.add_argument("path", nargs="?", default="-")
+    def fail(message: str):
+        print(f"{_usage(name)}\ncombitop: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
 
-    p = add("arrangement", _cmd_arrangement, _text_arrangement,
-            "generators of the coordinate arrangement")
-    p.add_argument("--field", required=True, choices=list(ARRANGEMENT_FIELDS))
-    p.add_argument("path", nargs="?", default="-")
-
-    p = add("pair-connectivity", _cmd_pair_connectivity, _text_pair_connectivity,
-            "connectivity of a subcomplex pair")
-    p.add_argument("--with", dest="with_path", required=True, metavar="PATH")
-    p.add_argument("path", nargs="?", default="-")
-
-    return parser
+    if any(t.startswith("--=") for t in (argv[: argv.index("--")] if "--" in argv else argv)):
+        fail("ambiguous option: --= could match every option")
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and name:  # the rest are positionals; "--" stays where none takes it
+            rest = list(tokens)
+            unknown += [token] * (not slots and not took) + rest[len(slots):]
+            args.update(zip(slots, rest))
+            break
+        opt, took = _option(token, kinds), False  # took: a positional
+        if opt is None and name is None:
+            name = token if token in COMMANDS else fail(f"invalid COMMAND: {token!r}")
+            kinds, slots, defaults = _grammar(COMMANDS[name][2])
+            args |= defaults
+        elif opt is None and slots:
+            args[slots.pop(0)], took = token, True
+        elif opt is None or opt[0] is None:
+            unknown.append(token)
+        elif opt == ("--help", None):
+            rows = "".join(f"\n  {n} {row[2]}\n      {row[3]}" for n, row in COMMANDS.items())
+            print(f"{_usage(name)}\n\n{COMMANDS[name][3]}" if name else
+                  f"{_usage(None)}\n\n{DESCRIPTION}\n\ncommands:{rows}")
+            raise SystemExit(0)
+        elif opt[0] == "--help" or kinds[opt[0]] is bool:
+            if opt[1] is not None:
+                fail(f"argument {opt[0]}: ignored explicit argument {opt[1]!r}")
+            args[opt[0][2:]] = True
+        else:
+            (flag, value), kind = opt, kinds[opt[0]]
+            if value is None and ((value := next(tokens, "--")) == "--" or _option(value, kinds)):
+                fail(f"argument {flag}: expected one argument")
+            if type(kind) is tuple and value not in kind:
+                fail(f"argument {flag}: invalid choice: {value!r}")
+            try:
+                args[flag[2:]] = int(value) if kind is int else value
+            except ValueError:
+                fail(f"argument {flag}: invalid int value: {value!r}")
+    missing = [k for k in (*kinds, *slots) if k.lstrip("-") not in args] if name else ["COMMAND"]
+    if missing or unknown:
+        fail(f"the following arguments are required: {', '.join(missing)}" if missing
+             else f"unrecognized arguments: {' '.join(unknown)}")
+    return COMMANDS[name][:2], types.SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        payload = args.func(args)
+        (run, text), args = _parse(sys.argv[1:] if argv is None else list(argv))
+        payload = run(args)
+    except SystemExit as exc:  # help, or a bad command line
+        return exc.code
     except (CliError, ValueError) as exc:
         # a ValueError that input parsing did not turn into a CliError is a domain error
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 1
-    if args.json or args.text is None:
+    if args.json or text is None:
         print(json.dumps(payload, indent=2))
     else:
-        print("\n".join(args.text(payload)))
+        print("\n".join(text(payload)))
     return 0
 
 

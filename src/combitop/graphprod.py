@@ -19,7 +19,6 @@ the group exactly when w1 * w2^-1 reduces to the empty word.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._bits import Value, setfield
@@ -88,12 +87,13 @@ def _normalize_value(kind: str, value) -> object | None:
     """Canonical letter value, or None for the identity."""
     if kind == "coxeter":
         return 1
-    x = Fraction(value)
-    if kind == "artin":
-        if x.denominator != 1:
+    if type(value) is not int:  # fractions is imported for other values only
+        from fractions import Fraction
+        x = Fraction(value)
+        if kind == "artin" and x.denominator != 1:
             raise ValueError(f"artin exponent must be an integer, got {value!r}")
-        x = x.numerator
-    return _reduce(kind, x)
+        value = x.numerator if kind == "artin" else x
+    return _reduce(kind, value)
 
 
 class GroupWord(Value):
@@ -237,39 +237,38 @@ def is_abelian_restriction(K: SimplicialComplex, vertices: Iterable[int]) -> boo
 
 # -- word literals ----------------------------------------------------
 
-_ARTIN_RE = re.compile(r"v(\d+)\^(-?\d+)$")
-_COXETER_RE = re.compile(r"a(\d+)$")
-_CIRC_RE = re.compile(r"t(\d+)@(-?\d+)/(\d+)$")
+#: Per kind, a letter's pattern and its shape for error messages.
+_LETTERS = {
+    "artin": (re.compile(r"v(\d+)\^(-?\d+)"), "v<i>^<e>"),
+    "coxeter": (re.compile(r"a(\d+)"), "a<i>"),
+    "circulation": (re.compile(r"t(\d+)@(-?\d+)/(\d+)"), "t<i>@<p>/<q>"),
+}
 
 
 def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
-    """Parse space-separated letters: v<i>^<e>, a<i>, or t<i>@<p>/<q>."""
+    """Parse space-separated letters, v<i>^<e>, a<i> or t<i>@<p>/<q>, to canonical values."""
     if kind not in KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
+    if kind == "circulation":
+        from fractions import Fraction
+    pattern, shape = _LETTERS[kind]
     tokens = text.split()
-    if tokens == ["e"]:
-        tokens = []
     letters = []
-    for tok in tokens:
-        if kind == "artin":
-            match = _ARTIN_RE.fullmatch(tok)
-            if not match:
-                raise ValueError(f"bad artin letter {tok!r} (expected v<i>^<e>)")
-            letters.append((int(match.group(1)), int(match.group(2))))
-        elif kind == "coxeter":
-            match = _COXETER_RE.fullmatch(tok)
-            if not match:
-                raise ValueError(f"bad coxeter letter {tok!r} (expected a<i>)")
-            letters.append((int(match.group(1)), 1))
-        else:
-            match = _CIRC_RE.fullmatch(tok)
-            if not match:
-                raise ValueError(f"bad circulation letter {tok!r} (expected t<i>@<p>/<q>)")
-            q = int(match.group(3))
+    for tok in [] if tokens == ["e"] else tokens:
+        match = pattern.fullmatch(tok)
+        if not match:
+            raise ValueError(f"bad {kind} letter {tok!r} (expected {shape})")
+        v, *value = map(int, match.groups())
+        if kind == "circulation":
+            p, q = value
             if q == 0:
                 raise ValueError(f"zero denominator in circulation letter {tok!r}")
-            letters.append((int(match.group(1)), Fraction(int(match.group(2)), q)))
-    return word(kind, graph, letters)
+            value = [p % q and Fraction(p % q, q)]  # one Fraction, in [0, 1)
+        letters.append((v, value[0] if value else 1))
+    for v, _ in letters:
+        if not 1 <= v <= graph.m:
+            raise ValueError(f"vertex {v} out of range 1..{graph.m}")
+    return GroupWord(kind, graph, tuple(letter for letter in letters if letter[1]))
 
 
 def format_word(w: GroupWord) -> str:

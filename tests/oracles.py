@@ -7,8 +7,10 @@ touching the library's own algorithms beyond the face-set representation.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
+import re
 import random
 from fractions import Fraction
 
@@ -513,3 +515,94 @@ def random_word(kind: str, m: int, length: int, rng: random.Random):
         else:
             letters.append((v, Fraction(rng.randint(1, 5), rng.randint(2, 7)) % 1))
     return [l for l in letters if l[1] != 0]
+
+
+# -- word literals and the command line, as parsed before ----------------
+
+
+def old_style_letters(kind: str, text: str) -> list:
+    """The letters that ``parse_word`` handed to ``word`` before it built canonical
+    values itself: int exponents, 1, and ``Fraction(p, q)`` as written."""
+    tokens = text.split()
+    letters = []
+    for tok in [] if tokens == ["e"] else tokens:
+        if kind == "artin":
+            match = re.fullmatch(r"v(\d+)\^(-?\d+)", tok)
+            if not match:
+                raise ValueError(f"bad artin letter {tok!r} (expected v<i>^<e>)")
+            letters.append((int(match.group(1)), int(match.group(2))))
+        elif kind == "coxeter":
+            match = re.fullmatch(r"a(\d+)", tok)
+            if not match:
+                raise ValueError(f"bad coxeter letter {tok!r} (expected a<i>)")
+            letters.append((int(match.group(1)), 1))
+        else:
+            match = re.fullmatch(r"t(\d+)@(-?\d+)/(\d+)", tok)
+            if not match:
+                raise ValueError(f"bad circulation letter {tok!r} (expected t<i>@<p>/<q>)")
+            q = int(match.group(3))
+            if q == 0:
+                raise ValueError(f"zero denominator in circulation letter {tok!r}")
+            letters.append((int(match.group(1)), Fraction(int(match.group(2)), q)))
+    return letters
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def _get_values(self, action, arg_strings):
+        # argparse up to 3.11 also drops an argument that is itself "--" (in
+        # "--degree=--", or after a first "--") and hands the command an empty
+        # list, on which the command raised; the oracle keeps it as "--"
+        value = super()._get_values(action, list(arg_strings))
+        if value == [] and action.nargs is None:
+            value = super()._get_values(action, ["--", "--"])
+        return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``combitop.cli`` before its command table, the
+    reference for the table's parser; ``--with`` now sets ``with``."""
+    from combitop import cli
+
+    parser = _ArgumentParser(prog="combitop", description=cli.DESCRIPTION)
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    sub = parser.add_subparsers(dest="command", required=True)
+    modes, kinds = ["real", "complex", "exterior"], ["coxeter", "artin", "circulation"]
+
+    def add(name):
+        run, text, _, help_ = cli.COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=run, text=text)
+        return p
+
+    add("info").add_argument("path", nargs="?", default="-")
+    add("flagify").add_argument("path", nargs="?", default="-")
+    p = add("sr-hilbert")
+    p.add_argument("--mode", required=True, choices=modes)
+    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("path", nargs="?", default="-")
+    p = add("sr-basis")
+    p.add_argument("--mode", required=True, choices=modes)
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("path", nargs="?", default="-")
+    for name, words in (("word-reduce", ["word"]), ("word-equal", ["word1", "word2"])):
+        p = add(name)
+        p.add_argument("--group", required=True, choices=kinds)
+        for dest in ["path", *words]:
+            p.add_argument(dest)
+    p = add("ma-homology")
+    p.add_argument("--mod2", action="store_true")
+    p.add_argument("path", nargs="?", default="-")
+    add("bcat-cells").add_argument("path", nargs="?", default="-")
+    p = add("arrangement")
+    p.add_argument("--field", required=True, choices=["R", "C", "E"])
+    p.add_argument("path", nargs="?", default="-")
+    p = add("pair-connectivity")
+    p.add_argument("--with", dest="with", required=True, metavar="PATH")
+    p.add_argument("path", nargs="?", default="-")
+    return parser
+
+
+def argparse_parse(argv):
+    """A drop-in for ``cli._parse`` that reads ``argv`` with ``build_parser``."""
+    args = build_parser().parse_args(argv)
+    return (args.func, args.text), args

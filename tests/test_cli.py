@@ -9,9 +9,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combitop import cli, facecat
@@ -25,7 +26,7 @@ from combitop.simplicial import (
     simplex_boundary,
 )
 
-from oracles import brute_maximal_faces, small_complexes
+from oracles import argparse_parse, brute_maximal_faces, small_complexes
 
 BOUNDARY3 = {"vertices": 3, "maximal_faces": [[1, 2], [1, 3], [2, 3]]}
 SQUARE = {"vertices": 4, "maximal_faces": [[1, 2], [2, 3], [3, 4], [1, 4]]}
@@ -899,3 +900,105 @@ def test_fuzz_exit_codes(doc, other, degree, word1, word2, mode, group, field):
         for argv in commands:
             for flag in ([], ["--json"]):
                 assert exit_code(flag + argv) in (0, 1, 2), flag + argv
+
+
+# -- the command table's parser against the argparse parser it replaced ---
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["sr-hilbert", "--mode", "real", "--degree=--"], "argument --degree: invalid int value: '--'"),
+        (["sr-hilbert", "--mode=--"], "argument --mode: invalid choice: '--'"),
+        (["word-reduce", "--group", "artin", "DOC", "--", "--"], "bad artin letter '--'"),
+    ],
+)
+def test_dashes_as_a_value(write_doc, capsys, argv, err):
+    # argparse dropped a value that is itself "--" and handed the command an
+    # empty list, on which the first and third lines raised
+    argv = [write_doc(SQUARE) if token == "DOC" else token for token in argv]
+    code, out, stderr = run(capsys, argv)
+    assert (code, out) == (2, "") and err in stderr
+
+OPTION_VALUES = {
+    "--json": [], "--help": [], "--mod2": [],
+    "--mode": ["real", "complex", "exterior", "bogus"], "--degree": ["0", "2", "-1", "x", "-1.5"],
+    "--group": ["coxeter", "artin", "circulation", "Artin"], "--field": ["R", "C", "E", "Q"],
+    "--with": ["DOC", "OTHER"],
+}
+OPTION_NAMES = [flag[:n] for flag in OPTION_VALUES for n in range(3, len(flag) + 1)]
+VALUES = sorted({v for values in OPTION_VALUES.values() for v in values})
+PATHS = {"DOC": SQUARE, "OTHER": {"vertices": 4, "maximal_faces": [[1, 2], [3, 4]]}, "BAD": "{"}
+TOKENS = st.one_of(
+    st.sampled_from([*cli.COMMANDS, "nope", *OPTION_NAMES, *VALUES, *PATHS, "MISSING"]),
+    st.builds("{}={}".format, st.sampled_from(OPTION_NAMES), st.sampled_from(VALUES + [""])),
+    st.sampled_from(["-", "--", "-h", "--json", "-5"]),
+    WORDS,
+)
+
+
+OPTIONS = {"sr-hilbert": ["--mode", "--degree"], "sr-basis": ["--mode", "--degree"],
+           "word-reduce": ["--group"], "word-equal": ["--group"], "ma-homology": ["--mod2"],
+           "arrangement": ["--field"], "pair-connectivity": ["--with"]}
+
+
+@st.composite
+def command_lines(draw):
+    """Argument lists over TOKENS: a subcommand with its options, in any order and
+    spelling, and operands, give or take a token or a last "--"; or tokens at random."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(TOKENS, max_size=8))
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    words = draw(st.lists(WORDS, min_size=2, max_size=2))
+    argv = ["DOC", *words[: {"word-reduce": 1, "word-equal": 2}.get(name, 0)]]
+    argv = [] if name not in OPTIONS and draw(st.booleans()) else argv
+    for flag in OPTIONS.get(name, []):
+        spelt = flag[: draw(st.integers(3, len(flag)))]
+        values = OPTION_VALUES[flag]
+        value = draw(st.sampled_from(values) if draw(st.integers(0, 5)) else TOKENS) if values else None
+        spellings = [[spelt, value], [f"{spelt}={value}"]]
+        option = draw(st.sampled_from(spellings)) if values else [spelt]
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = option
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(argv)))
+        argv.insert(at, draw(TOKENS))
+    argv += ["--"] * (draw(st.integers(0, 3)) == 0)
+    return draw(st.sampled_from([[], ["--json"]])) + [name] + argv
+
+
+def run_main(argv, directory) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main``, the document names in ``argv`` as paths."""
+    argv = [f"{directory}/{token}" if token in PATHS or token == "MISSING" else token
+            for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(json.dumps(SQUARE))):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600)
+@given(command_lines())
+@example(["sr-hilbert", "DOC", "--mode", "real", "--"])  # no operand takes this "--"
+@example(["sr-hilbert", "--mode", "real", "DOC", "--"])  # the path takes it
+@example(["word-reduce", "--group", "artin", "DOC", "--", "-v1"])
+@example(["info", "-v1", "-h"])  # an unknown option is an error only at the end
+@example(["pair-connectivity", "--with", "-h", "DOC"])  # an option is no value
+@example(["--json", "sr-hilbert", "--mo=real", "--deg", "-1", "--mode", "complex", "DOC"])
+@example(["info", "--json", "DOC"])
+@example(["-h", "--=x"])  # ambiguous before anything else
+def test_parser_matches_argparse(argv):
+    with tempfile.TemporaryDirectory() as d:
+        for name, doc in PATHS.items():
+            Path(d, name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run_main(argv, d)
+        with mock.patch.object(cli, "_parse", argparse_parse):
+            want_code, want_out, want_err = run_main(argv, d)
+    if want_out.startswith("usage:"):  # help: each parser prints its own
+        assert code == 0 and out.startswith("usage: combitop")
+        assert {n for n in cli.COMMANDS if n in want_out} <= {n for n in cli.COMMANDS if n in out}
+        return
+    assert (code, out) == (want_code, want_out)
+    # a bad command line, and only that, prints a usage line
+    assert ("usage:" in err) == ("usage:" in want_err)

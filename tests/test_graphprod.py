@@ -34,6 +34,7 @@ from oracles import (
     all_graphs,
     all_words,
     artin_alphabet,
+    old_style_letters,
     random_word,
     restart_reduce,
 )
@@ -558,6 +559,38 @@ def test_parse_rejects_zero_denominator():
         parse_word("circulation", g, "t1@1/0")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_word("circulation", g, "t2@1/4 t1@-3/00")
+
+
+def parsed_or_error(parse):
+    try:
+        return repr(parse())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+LETTER_TEXTS = st.one_of(
+    st.builds("v{}^{}".format, st.integers(0, 6), st.integers(-12, 12)),
+    st.builds("a{}".format, st.integers(0, 6)),
+    st.builds("t{}@{}/{}".format, st.integers(0, 6), st.integers(-30, 30), st.integers(0, 12)),
+    st.sampled_from(["e", "v1^", "a", "t1@1", "v1^1.5", "x", "t1@-1/-2", "a01", "v2^+1"]),
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(KINDS),
+    st.integers(1, 5),
+    st.lists(LETTER_TEXTS, max_size=12),
+    st.sampled_from([" ", "  ", "\t", "\n "]),
+)
+def test_parse_word_matches_word_of_old_letters(kind, m, letters, sep):
+    # the canonical letters built while parsing equal word() of the letters
+    # parsed before, value types and error messages included
+    g = CommutationGraph.from_edges(m, [(i, i + 1) for i in range(1, m)])
+    text = sep.join(letters)
+    assert parsed_or_error(lambda: parse_word(kind, g, text)) == parsed_or_error(
+        lambda: word(kind, g, old_style_letters(kind, text))
+    )
 
 
 def test_inverse_and_product():

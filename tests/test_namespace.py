@@ -29,8 +29,8 @@ PUBLIC = [
     "simplex_boundary", "smith_normal_form", "stabilizer", "word", "wordlength",
 ]
 
-# modules that none of these commands needs: graphprod brings fractions,
-# which brings decimal
+# modules that none of these commands needs: circulation words bring
+# fractions, which brings decimal
 UNUSED = {"fractions", "decimal", "combitop.graphprod", "combitop.sralg"}
 
 
@@ -81,8 +81,34 @@ def test_command_loads_only_its_modules(square, argv, needed):
 
 def test_word_command_loads_graphprod(square):
     # the probe sees a module that a command does import
-    loaded = loaded_after(["word-reduce", "--group", "artin", square, "v1^1"])
+    loaded = loaded_after(["word-reduce", "--group", "circulation", square, "t1@1/2"])
     assert {"combitop.graphprod", "fractions"} <= loaded
+
+
+def imported_by_process(argv: list[str]) -> set[str]:
+    """The modules that ``python -m combitop.cli argv`` imports, read from -X importtime."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "combitop.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["info"], ["word-reduce", "--group", "coxeter", "a1 a3 a1"],
+     ["word-reduce", "--group", "artin", "v1^2 v3^-1 v1^-1"]],
+    ids=["info", "word-reduce-coxeter", "word-reduce-artin"],
+)
+def test_cli_process_skips_argparse_and_fractions(square, argv):
+    # the command line is parsed without argparse (which brings gettext and
+    # locale), and only circulation words need fractions (which brings decimal)
+    loaded = imported_by_process(argv[:3] + [square] + argv[3:])
+    assert "combitop.simplicial" in loaded
+    assert not {"argparse", "gettext", "locale", "fractions", "decimal"} & loaded
 
 
 def test_star_import_is_all():
@@ -124,12 +150,9 @@ def test_arrangement_stays_the_function_after_cli(square):
 
 
 def test_cli_choices_match_the_library():
-    parser = cli.build_parser()
-    (sub,) = [a for a in parser._actions if a.dest == "command"]
-
     def choices(command: str, option: str) -> list[str]:
-        (action,) = [a for a in sub.choices[command]._actions if option in a.option_strings]
-        return list(action.choices)
+        options, _, _ = cli._grammar(cli.COMMANDS[command][2])
+        return list(options[option])
 
     assert choices("word-reduce", "--group") == choices("word-equal", "--group") == list(KINDS)
     assert choices("arrangement", "--field") == list(FIELDS)
