@@ -258,13 +258,14 @@ def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
         match = pattern.fullmatch(tok)
         if not match:
             raise ValueError(f"bad {kind} letter {tok!r} (expected {shape})")
-        v, *value = map(int, match.groups())
         if kind == "circulation":
-            p, q = value
+            p, q = int(match[2]), int(match[3])
             if q == 0:
                 raise ValueError(f"zero denominator in circulation letter {tok!r}")
-            value = [p % q and Fraction(p % q, q)]  # one Fraction, in [0, 1)
-        letters.append((v, value[0] if value else 1))
+            x = p % q and Fraction(p % q, q)  # one Fraction, in [0, 1)
+        else:
+            x = int(match[2]) if kind == "artin" else 1
+        letters.append((int(match[1]), x))
     for v, _ in letters:
         if not 1 <= v <= graph.m:
             raise ValueError(f"vertex {v} out of range 1..{graph.m}")

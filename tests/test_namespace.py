@@ -156,3 +156,11 @@ def test_cli_choices_match_the_library():
 
     assert choices("word-reduce", "--group") == choices("word-equal", "--group") == list(KINDS)
     assert choices("arrangement", "--field") == list(FIELDS)
+
+
+def test_cli_modes_match_the_library():
+    from combitop.sralg import GradingMode
+
+    for command in ("sr-hilbert", "sr-basis"):
+        options, _, _ = cli._grammar(cli.COMMANDS[command][2])
+        assert list(options["--mode"]) == [mode.value for mode in GradingMode]
