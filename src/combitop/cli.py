@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Complexes are read from JSON documents: {"vertices": m, "maximal_faces":
-[[...], ...], "name": "..."} with 1-indexed vertices.  Each subcommand
-returns a JSON-ready payload and prints nothing; ``main`` alone renders it,
-as JSON under --json (``flagify`` always prints a complex document) and
-through the subcommand's text renderer otherwise, and maps errors to exit
-codes: 0 on success, 1 for domain errors (a library ValueError), 2 for
-input errors.  All output is deterministically ordered.
+[[...], ...], "name": "..."} with 1-indexed vertices.  ``main`` alone reads
+the document, once per job, and renders the JSON-ready payload that the
+subcommand computes from it without printing: as JSON under --json
+(``flagify`` always prints a complex document) and through the subcommand's
+text renderer otherwise.  It maps errors to exit codes: 0 on success, 1 for
+domain errors (a library ValueError), 2 for input errors.  All output is
+deterministically ordered.
 """
 
 from __future__ import annotations
@@ -118,18 +119,18 @@ def _fmt_set(vertices) -> str:
     return "{" + ",".join(str(v) for v in vertices) + "}"
 
 
-# -- subcommands: each returns its --json payload; a _text_* renders it ----
+# -- subcommands: each takes K and its arguments, the document's name as
+# args.name, and returns its --json payload; a _text_* renders it ----
 
 
-def _cmd_info(args) -> dict:
+def _cmd_info(K, args) -> dict:
     from . import connectivity as conn
 
-    K, name = parse_complex(args.path)
     missing = K.missing_faces()
     report = conn.connectivity_report(K, missing)
     f = K.f_vector()
     return {
-        "name": name,
+        "name": args.name,
         "vertices": K.m,
         "dimension": len(f) - 1,
         "f_vector": list(f),
@@ -161,15 +162,13 @@ def _text_info(p) -> list[str]:
     ]
 
 
-def _cmd_flagify(args) -> dict:
-    K, name = parse_complex(args.path)
-    return emit_complex(K.flagify(), name)
+def _cmd_flagify(K, args) -> dict:
+    return emit_complex(K.flagify(), args.name)
 
 
-def _cmd_sr_hilbert(args) -> dict:
+def _cmd_sr_hilbert(K, args) -> dict:
     from . import sralg
 
-    K, _ = parse_complex(args.path)
     series = sralg.hilbert_series(K, sralg.GradingMode(args.mode))
     payload = {
         "numerator": list(series.numerator),
@@ -193,10 +192,9 @@ def _text_sr_hilbert(p) -> list[str]:
     return out
 
 
-def _cmd_sr_basis(args) -> list:
+def _cmd_sr_basis(K, args) -> list:
     from . import sralg
 
-    K, _ = parse_complex(args.path)
     if args.degree < 0:
         raise CliError(2, f"--degree must be >= 0, got {args.degree}")
     mode = sralg.GradingMode(args.mode)
@@ -215,22 +213,21 @@ def _text_sr_basis(p) -> list[str]:
     return [format_powers(powers) for powers in p] + [f"count: {len(p)}"]
 
 
-def _parse_words(args, *texts) -> list:
-    """Words of the graph product of ``--group`` kind over the 1-skeleton of the complex."""
+def _parse_words(K: SimplicialComplex, kind: str, *texts) -> list:
+    """Words of the graph product of the given kind over the 1-skeleton of K."""
     from . import graphprod
 
-    K, _ = parse_complex(args.path)
     graph = graphprod.CommutationGraph.from_complex(K)
     try:
-        return [graphprod.parse_word(args.group, graph, text) for text in texts]
+        return [graphprod.parse_word(kind, graph, text) for text in texts]
     except ValueError as exc:
         raise CliError(2, str(exc)) from exc
 
 
-def _cmd_word_reduce(args) -> dict:
+def _cmd_word_reduce(K, args) -> dict:
     from . import graphprod
 
-    (w,) = _parse_words(args, args.word)
+    (w,) = _parse_words(K, args.group, args.word)
     blocks = graphprod.cartier_foata_blocks(w)
 
     def fmt(letters) -> str:
@@ -243,16 +240,15 @@ def _cmd_word_reduce(args) -> dict:
     }
 
 
-def _cmd_word_equal(args) -> dict:
+def _cmd_word_equal(K, args) -> dict:
     from . import graphprod
 
-    return {"equal": graphprod.equal(*_parse_words(args, args.word1, args.word2))}
+    return {"equal": graphprod.equal(*_parse_words(K, args.group, args.word1, args.word2))}
 
 
-def _cmd_ma_homology(args) -> list:
+def _cmd_ma_homology(K, args) -> list:
     from . import macomplex
 
-    K, _ = parse_complex(args.path)
     groups = macomplex.moment_angle_homology(K, mod2=args.mod2)
     return [{"dim": k, "betti": g.betti, "torsion": list(g.torsion)} for k, g in enumerate(groups)]
 
@@ -263,8 +259,7 @@ def _text_ma_homology(p) -> list[str]:
     return [f"H_{row['dim']} = {HomologyGroup(row['betti'], tuple(row['torsion']))}" for row in p]
 
 
-def _cmd_bcat_cells(args) -> dict:
-    K, _ = parse_complex(args.path)
+def _cmd_bcat_cells(K, args) -> dict:
     # the k-cells of (I, 0)^K are the pairs sigma <= tau with |tau - sigma| = k,
     # so they are counted from the f-vector, the empty face first
     f = (1, *K.f_vector())
@@ -284,8 +279,7 @@ def _text_bcat_cells(p) -> list[str]:
     ]
 
 
-def _cmd_arrangement(args) -> dict:
-    K, _ = parse_complex(args.path)
+def _cmd_arrangement(K, args) -> dict:
     A = build_arrangement(K, args.field)
     return {
         "field": A.field,
@@ -302,10 +296,9 @@ def _text_arrangement(p) -> list[str]:
     ]
 
 
-def _cmd_pair_connectivity(args) -> dict:
+def _cmd_pair_connectivity(K, args) -> dict:
     from . import connectivity as conn
 
-    K, _ = parse_complex(args.path)
     L, _ = parse_complex(getattr(args, "with"))
     c, degrees = conn.pair_connectivity(K, L)
     return {"c": _fmt_num(c), "d": {k: _fmt_num(v) for k, v in degrees.items()}}
@@ -438,7 +431,8 @@ def _parse(argv: list[str]):
 def main(argv=None) -> int:
     try:
         (run, text), args = _parse(sys.argv[1:] if argv is None else list(argv))
-        payload = run(args)
+        K, args.name = parse_complex(args.path)
+        payload = run(K, args)
     except SystemExit as exc:  # help, or a bad command line
         return exc.code
     except (CliError, ValueError) as exc:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from ._bits import Value, setfield
-from .simplicial import SimplicialComplex
+from ._bits import Value, iter_vertices, setfield
+from .simplicial import SimplicialComplex, facet_masks
 
 KINDS = ("coxeter", "artin", "circulation")
 
@@ -67,8 +67,10 @@ class CommutationGraph(Value):
         return bool(self.adjacency[i] & (1 << (j - 1)))
 
     def complete_on(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        return all(self.adjacent(a, b) for k, a in enumerate(vs) for b in vs[k + 1 :])
+        """True when the vertices, read as a set, are pairwise adjacent."""
+        (mask,) = facet_masks(self.m, [vertices])
+        # no loops: each vertex is the only one of the set outside its own neighbors
+        return all(mask & ~self.adjacency[v] == 1 << (v - 1) for v in iter_vertices(mask))
 
 
 #: Each kind's vertex group as Z/n: Z/2, Z (no modulus) and Q/Z.
@@ -85,14 +87,12 @@ def _reduce(kind: str, x) -> object | None:
 
 def _normalize_value(kind: str, value) -> object | None:
     """Canonical letter value, or None for the identity."""
-    if kind == "coxeter":
-        return 1
     if type(value) is not int:  # fractions is imported for other values only
         from fractions import Fraction
         x = Fraction(value)
-        if kind == "artin" and x.denominator != 1:
-            raise ValueError(f"artin exponent must be an integer, got {value!r}")
-        value = x.numerator if kind == "artin" else x
+        if kind != "circulation" and x.denominator != 1:
+            raise ValueError(f"{kind} exponent must be an integer, got {value!r}")
+        value = x if kind == "circulation" else x.numerator
     return _reduce(kind, value)
 
 
@@ -227,12 +227,7 @@ def in_commutator_subgroup(w: GroupWord) -> bool:
 
 def is_abelian_restriction(K: SimplicialComplex, vertices: Iterable[int]) -> bool:
     """True when the subgroup generated by the vertex subset is abelian."""
-    vs = list(vertices)
-    for v in vs:
-        if not 1 <= v <= K.m:
-            raise ValueError(f"vertex {v} out of range 1..{K.m}")
-    graph = CommutationGraph.from_complex(K)
-    return graph.complete_on(vs)
+    return CommutationGraph.from_complex(K).complete_on(vertices)
 
 
 # -- word literals ----------------------------------------------------
@@ -266,9 +261,7 @@ def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
         else:
             x = int(match[2]) if kind == "artin" else 1
         letters.append((int(match[1]), x))
-    for v, _ in letters:
-        if not 1 <= v <= graph.m:
-            raise ValueError(f"vertex {v} out of range 1..{graph.m}")
+    facet_masks(graph.m, [(v for v, _ in letters)])
     return GroupWord(kind, graph, tuple(letter for letter in letters if letter[1]))
 
 

@@ -44,8 +44,8 @@ class SimplicialComplex(Value):
 
     ``extension_masks()`` maps each face f to the vertices v outside f with
     f | v a face (the vertex set of lk(f)), in O(faces * dim) lookups.
-    Facets (``maximal_face_masks()``), minimal non-faces
-    (``missing_face_masks()``) and the barycentric subdivision read it.
+    Facets (``maximal_face_masks()``) and minimal non-faces
+    (``missing_face_masks()``) read it.
     """
 
     __slots__ = ("m", "face_masks")
@@ -211,11 +211,7 @@ class SimplicialComplex(Value):
 
     def restrict(self, vertices: Iterable[int]) -> "SimplicialComplex":
         """Restriction to a vertex subset, relabeled to 1..|W| in ascending order."""
-        wmask = 0
-        for v in vertices:
-            if not 1 <= v <= self.m:
-                raise ValueError(f"vertex {v} out of range 1..{self.m}")
-            wmask |= 1 << (v - 1)
+        (wmask,) = facet_masks(self.m, [vertices])
         order = vertices_of(wmask)
         relabel = {v: i + 1 for i, v in enumerate(order)}
         faces = set()
@@ -233,30 +229,17 @@ class SimplicialComplex(Value):
         )
 
     def barycentric_subdivision(self) -> "SimplicialComplex":
-        """Complex of chains of nonempty faces, ordered by strict inclusion."""
+        """Complex of chains of nonempty faces, ordered by strict inclusion.
+
+        Its vertex i is the i-th nonempty face in ``_face_sort_key`` order.  A
+        chain is a clique of the comparability graph, so this is its ``flagify``.
+        """
         verts = sorted((f for f in self.face_masks if f), key=_face_sort_key)
-        index = {f: i + 1 for i, f in enumerate(verts)}
-        ext = self.extension_masks()
-        chains: list[list[int]] = []
-
-        def grow(chain: list[int]) -> None:
-            top = chain[-1]
-            rest = ext[top]
-            if not rest:
-                # no one-vertex extension means maximal, by downward closure
-                chains.append(list(chain))
-            while rest:
-                low = rest & -rest
-                chain.append(top | low)
-                grow(chain)
-                chain.pop()
-                rest ^= low
-
-        for v in range(self.m):
-            grow([1 << v])
-        return SimplicialComplex.from_maximal_faces(
-            len(verts), [[index[f] for f in chain] for chain in chains]
+        # lazy: past 64 faces from_maximal_faces raises before it reads a pair
+        comparable = (
+            (i + 1, j + 1) for j, g in enumerate(verts) for i in range(j) if verts[i] & ~g == 0
         )
+        return SimplicialComplex.from_maximal_faces(len(verts), comparable).flagify()
 
 
 # -- stock complexes -------------------------------------------------

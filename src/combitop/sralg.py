@@ -71,12 +71,6 @@ class Monomial(Value):
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.powers)
 
-    def exponent_vector(self, m: int) -> tuple[int, ...]:
-        vec = [0] * m
-        for v, e in self.powers:
-            vec[v - 1] = e
-        return tuple(vec)
-
     def __str__(self) -> str:
         return format_powers(self.powers)
 

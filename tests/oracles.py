@@ -604,5 +604,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def argparse_parse(argv):
     """A drop-in for ``cli._parse`` that reads ``argv`` with ``build_parser``."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    # argparse 3.10.13 to 3.13.0 refuses a "--=" token before "--" ahead of
+    # anything else, "-h" included, as the CLI does; 3.13.13 acts on "-h" first
+    # and may read "--=x" as "--help=x"; the oracle keeps the older rule
+    for token in argv[: argv.index("--")] if "--" in argv else argv:
+        if token.startswith("--="):
+            parser.error(f"ambiguous option: {token} could match --help, --json")
+    args = parser.parse_args(argv)
     return (args.func, args.text), args

@@ -383,6 +383,18 @@ def test_abelianize_examples():
     assert abelianize(circ)[0] == Fraction(3, 4)
 
 
+def test_coxeter_letter_values_reduce_mod_2():
+    g = square_graph()
+    for value in (0, 2, -4, Fraction(2)):
+        w = word("coxeter", g, [(1, value)])
+        assert w == identity("coxeter", g) and abelianize(w) == (0, 0, 0, 0)
+    for value in (1, 3, -1, Fraction(5)):
+        w = word("coxeter", g, [(1, value)])
+        assert w.letters == ((1, 1),) and abelianize(w) == (1, 0, 0, 0)
+    with pytest.raises(ValueError, match="coxeter exponent must be an integer"):
+        word("coxeter", g, [(1, Fraction(1, 2))])
+
+
 @pytest.mark.parametrize(
     "kind, letters, expected",
     [
@@ -433,6 +445,23 @@ def test_is_abelian_restriction():
     assert not is_abelian_restriction(K, [1, 3])
     assert is_abelian_restriction(K, [2])
     assert is_abelian_restriction(K, [])
+    # the vertices are read as a set
+    assert is_abelian_restriction(K, [1, 1]) and is_abelian_restriction(K, [2, 1, 2])
+    assert not is_abelian_restriction(K, [3, 1, 3])
+    assert CommutationGraph.from_complex(K).complete_on([4, 4, 1])
+
+
+def test_vertex_range_errors_name_the_first_bad_vertex():
+    K = polygon_boundary(4)
+    calls = [
+        lambda: K.restrict([2, 7, 0]),
+        lambda: is_abelian_restriction(K, iter([2, 7, 0])),
+        lambda: square_graph().complete_on([2, 7, 0]),
+        lambda: parse_word("artin", square_graph(), "v2^1 v7^1 v0^1"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^vertex 7 out of range 1\.\.4$"):
+            call()
 
 
 def test_edge_letters_commute(test_complexes):

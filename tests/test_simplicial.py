@@ -217,6 +217,24 @@ def test_barycentric_subdivision_matches_scan_oracle(test_complexes):
         assert K.barycentric_subdivision() == brute_barycentric_subdivision(K)
 
 
+@settings(max_examples=300)
+@given(small_complexes())
+def test_barycentric_subdivision_matches_scan_oracle_on_draws(K):
+    assert K.barycentric_subdivision() == brute_barycentric_subdivision(K)
+
+
+def test_barycentric_subdivision_at_the_vertex_cap():
+    K = full_simplex(6)  # 63 nonempty faces; one chain per ordering of the vertices is a facet
+    sub = K.barycentric_subdivision()
+    assert sub == brute_barycentric_subdivision(K)
+    assert sub.f_vector()[0] == 63 and sub.f_vector()[-1] == 720
+    # 64 nonempty faces still fit, 65 do not
+    assert SimplicialComplex.from_maximal_faces(7, [range(1, 7)]).barycentric_subdivision().m == 64
+    too_many = SimplicialComplex.from_maximal_faces(8, [range(1, 7)])
+    with pytest.raises(ValueError, match=r"^vertex count must be in 0\.\.64, got 65$"):
+        too_many.barycentric_subdivision()
+
+
 def test_random_complexes_are_valid():
     for K in random_complexes(20, 6, seed=3):
         assert 0 in K.face_masks
