@@ -35,6 +35,7 @@ class CommutationGraph(Value):
     __slots__ = ("m", "adjacency")
 
     def __init__(self, m: int, adjacency: tuple[int, ...]) -> None:
+        facet_masks(m, ())  # m in 0..MAX_VERTICES, as for the words on the graph
         if len(adjacency) != m + 1 or adjacency[0]:
             raise ValueError("adjacency must have one mask per vertex, index 0 unused")
         for v in range(1, m + 1):

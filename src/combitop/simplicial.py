@@ -235,7 +235,11 @@ class SimplicialComplex(Value):
         chain is a clique of the comparability graph, so this is its ``flagify``.
         """
         verts = sorted((f for f in self.face_masks if f), key=_face_sort_key)
-        # lazy: past 64 faces from_maximal_faces raises before it reads a pair
+        if len(verts) > MAX_VERTICES:
+            raise ValueError(
+                f"barycentric subdivision needs at most {MAX_VERTICES} nonempty faces,"
+                f" got {len(verts)}"
+            )
         comparable = (
             (i + 1, j + 1) for j, g in enumerate(verts) for i in range(j) if verts[i] & ~g == 0
         )

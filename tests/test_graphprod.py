@@ -464,6 +464,25 @@ def test_vertex_range_errors_name_the_first_bad_vertex():
             call()
 
 
+def test_graphs_and_their_words_stop_at_64_vertices():
+    g = CommutationGraph.from_edges(64, [(63, 64)])
+    assert parse_word("artin", g, "v64^1 v63^2") == word("artin", g, [(64, 1), (63, 2)])
+    assert g.complete_on([63, 64])
+    calls = [
+        lambda: parse_word("artin", g, "v65^1"),
+        lambda: g.complete_on([65]),
+        lambda: word("artin", g, [(65, 1)]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^vertex 65 out of range 1\.\.64$"):
+            call()
+    for m, adjacency in ((65, (0,) * 66), (-1, ())):
+        with pytest.raises(ValueError, match=rf"^vertex count must be in 0\.\.64, got {m}$"):
+            CommutationGraph(m, adjacency)
+    with pytest.raises(ValueError, match=r"^vertex count must be in 0\.\.64, got 65$"):
+        CommutationGraph.from_edges(65, [])
+
+
 def test_edge_letters_commute(test_complexes):
     rng = random.Random(61)
     for K in test_complexes[:8]:
