@@ -11,8 +11,9 @@ deterministically ordered.
 
 Run as a program (``combitop`` or ``python -m combitop.cli``), the process
 exits right after it flushes its output, without the interpreter's teardown,
-so ``atexit`` handlers do not run.  Under a tracer or profiler, or when a
-flush fails, it exits normally.
+so ``atexit`` handlers do not run.  Under a tracer or profiler (a
+``sys.settrace`` or ``sys.setprofile`` hook or a ``sys.monitoring`` tool), or
+when a flush fails, it exits normally.
 """
 
 from __future__ import annotations
@@ -456,8 +457,12 @@ def entry() -> None:
     """Exit with ``main``'s code once its output is flushed, skipping the interpreter's
     teardown (GC passes and module cleanup), which takes longer than most jobs."""
     code = main()
-    # coverage, cProfile and trace report after the module returns
-    if sys.gettrace() is None and sys.getprofile() is None:
+    # coverage, cProfile and trace report after the module returns; from Python 3.12
+    # cProfile, and coverage's sysmon core, register a sys.monitoring tool instead
+    monitoring = getattr(sys, "monitoring", None)
+    observed = sys.gettrace() is not None or sys.getprofile() is not None or (
+        monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)))
+    if not observed:
         try:
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:  # None when the process started with it closed
