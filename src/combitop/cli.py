@@ -3,11 +3,11 @@
 Complexes are read from JSON documents: {"vertices": m, "maximal_faces":
 [[...], ...], "name": "..."} with 1-indexed vertices.  ``main`` alone reads
 the document, once per job, and renders the JSON-ready payload that the
-subcommand computes from it without printing: as JSON under --json
-(``flagify`` always prints a complex document) and through the subcommand's
-text renderer otherwise.  It maps errors to exit codes: 0 on success, 1 for
-domain errors (a library ValueError), 2 for input errors.  All output is
-deterministically ordered.
+subcommand computes from it without printing: as JSON under --json, written as
+it is encoded (``flagify`` always prints a complex document), and through the
+subcommand's text renderer otherwise.  It maps errors to exit codes: 0 on
+success, 1 for domain errors (a library ValueError), 2 for input errors, 120
+when the output cannot be written.  All output is deterministically ordered.
 
 Run as a program (``combitop`` or ``python -m combitop.cli``), the process
 exits right after it flushes its output, without the interpreter's teardown,
@@ -18,6 +18,7 @@ when a flush fails, it exits normally.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -48,10 +49,14 @@ MAX_FACE_ESTIMATE = 1 << 20
 
 #: Largest monomial basis that ``sr-basis`` enumerates, counted exactly as the
 #: Hilbert series coefficient in the requested degree.  Enumerating 0.35 M
-#: monomials takes 1.3-1.6 s and 96 MB, 0.71 M 2.6-2.8 s and 179 MB (Python
-#: 3.11, Intel Xeon), before the output is rendered; the whole text run on
-#: 0.71 M takes 10 s and 594 MB.
+#: monomials takes 0.9-1.1 s and 94 MB, 0.71 M 1.6 s and 178 MB (Python 3.11,
+#: Intel Xeon), before the output is rendered; the whole run on 0.71 M takes
+#: 2.7-2.9 s and 261 MB in text, 10.3 s and 185 MB under --json.
 MAX_BASIS_MONOMIALS = 1 << 20
+
+#: JSON chunks joined into one write.  The encoder yields a chunk per token, and
+#: under PYTHONUNBUFFERED each write is a system call.
+WRITE_BATCH = 8192
 
 
 class CliError(Exception):
@@ -210,8 +215,7 @@ def _cmd_sr_basis(K, args) -> list:
         raise CliError(
             1, f"monomial basis too large: {count} monomials, more than {MAX_BASIS_MONOMIALS}"
         )
-    basis = sralg.monomial_basis(K, mode, args.degree)
-    return [[list(p) for p in mono.powers] for mono in basis]
+    return [mono.powers for mono in sralg.monomial_basis(K, mode, args.degree)]
 
 
 def _text_sr_basis(p) -> list[str]:
@@ -236,15 +240,8 @@ def _cmd_word_reduce(K, args) -> dict:
 
     (w,) = _parse_words(K, args.group, args.word)
     blocks = graphprod.cartier_foata_blocks(w)
-
-    def fmt(letters) -> str:
-        return graphprod.format_word(graphprod.GroupWord(w.kind, w.graph, tuple(letters)))
-
-    return {
-        "word": fmt(letter for block in blocks for letter in block),
-        "length": sum(len(block) for block in blocks),
-        "blocks": [fmt(block) for block in blocks],
-    }
+    texts = [graphprod.format_letters(w.kind, block) for block in blocks]
+    return {"word": " ".join(texts) or "e", "length": sum(map(len, blocks)), "blocks": texts}
 
 
 def _cmd_word_equal(K, args) -> dict:
@@ -447,9 +444,27 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else 1
     if args.json or text is None:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text(payload)))
+        return _print_chunks(json.JSONEncoder(indent=2).iterencode(payload))
+    return _print_chunks(["\n".join(text(payload))])
+
+
+def _print_chunks(chunks) -> int:
+    """Print the chunks and a newline, WRITE_BATCH chunks a write; 0, or 120 if a write fails."""
+    out, chunks = sys.stdout, iter(chunks)
+    if out is None:  # the process started with descriptor 1 closed: print nothing, as print does
+        return 0
+    try:
+        for first in chunks:
+            out.write(first + "".join(itertools.islice(chunks, WRITE_BATCH - 1)))
+        out.write("\n")
+    except OSError as exc:
+        try:
+            # a buffered stdout holds the newline, and the normal exit reports its
+            # failed flush ("Exception ignored", exit code 120) as for a short output
+            out.write("\n")
+        except OSError:  # unbuffered, as under PYTHONUNBUFFERED
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 120
     return 0
 
 

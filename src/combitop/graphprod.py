@@ -266,11 +266,14 @@ def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
     return GroupWord(kind, graph, tuple(letter for letter in letters if letter[1]))
 
 
+def format_letters(kind: str, letters: Iterable[Letter]) -> str:
+    """Space-separated letters of the kind, as ``parse_word`` reads them; "" for none."""
+    if kind == "artin":
+        return " ".join(f"v{v}^{e}" for v, e in letters)
+    if kind == "coxeter":
+        return " ".join(f"a{v}" for v, _ in letters)
+    return " ".join(f"t{v}@{q.numerator}/{q.denominator}" for v, q in letters)
+
+
 def format_word(w: GroupWord) -> str:
-    if not w.letters:
-        return "e"
-    if w.kind == "artin":
-        return " ".join(f"v{v}^{e}" for v, e in w.letters)
-    if w.kind == "coxeter":
-        return " ".join(f"a{v}" for v, _ in w.letters)
-    return " ".join(f"t{v}@{q.numerator}/{q.denominator}" for v, q in w.letters)
+    return format_letters(w.kind, w.letters) or "e"

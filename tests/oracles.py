@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import re
 import random
@@ -196,6 +197,18 @@ def brute_monomial_basis(K: SimplicialComplex, mode: str, degree: int) -> list[t
 
     out.sort(key=key)
     return out
+
+
+def list_copy_sr_basis_output(K: SimplicialComplex, mode: str, degree: int, as_json: bool) -> str:
+    """``sr-basis`` stdout as rendered before, from a payload of list copies, one per monomial."""
+    from combitop import sralg
+
+    basis = sralg.monomial_basis(K, sralg.GradingMode(mode), degree)
+    payload = [[list(p) for p in mono.powers] for mono in basis]
+    if as_json:
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [sralg.format_powers(powers) for powers in payload] + [f"count: {len(payload)}"]
+    return "\n".join(lines) + "\n"
 
 
 # -- integer linear algebra ----------------------------------------------
@@ -515,6 +528,20 @@ def random_word(kind: str, m: int, length: int, rng: random.Random):
         else:
             letters.append((v, Fraction(rng.randint(1, 5), rng.randint(2, 7)) % 1))
     return [l for l in letters if l[1] != 0]
+
+
+def group_word_reduce_payload(w) -> dict:
+    """The ``word-reduce --json`` payload as rendered before: ``format_word`` of the
+    normal form, and of a ``GroupWord`` built for each Cartier-Foata block."""
+    from combitop import graphprod as gp
+
+    nf = gp.normal_form(w)
+    blocks = gp.cartier_foata_blocks(w)
+    return {
+        "word": gp.format_word(nf),
+        "length": len(nf),
+        "blocks": [gp.format_word(gp.GroupWord(w.kind, w.graph, block)) for block in blocks],
+    }
 
 
 # -- word literals and the command line, as parsed before ----------------

@@ -26,7 +26,12 @@ from combitop.simplicial import (
     simplex_boundary,
 )
 
-from oracles import argparse_parse, brute_maximal_faces, small_complexes
+from oracles import (
+    argparse_parse,
+    brute_maximal_faces,
+    list_copy_sr_basis_output,
+    small_complexes,
+)
 
 BOUNDARY3 = {"vertices": 3, "maximal_faces": [[1, 2], [1, 3], [2, 3]]}
 SQUARE = {"vertices": 4, "maximal_faces": [[1, 2], [2, 3], [3, 4], [1, 4]]}
@@ -217,6 +222,41 @@ def test_sr_basis(write_doc, capsys):
     assert out.splitlines() == ["v1 v2", "v1 v3", "v2 v3", "count: 3"]
 
 
+def run_on_stdin(argv, doc: dict) -> tuple[int, str]:
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), contextlib.redirect_stdout(out):
+        code = main([*argv, "-"])
+    return code, out.getvalue()
+
+
+@settings(max_examples=150)
+@given(small_complexes(), st.sampled_from(["real", "complex", "exterior"]), st.integers(0, 5),
+       st.booleans())
+def test_sr_basis_matches_list_copy_rendering(K, mode, degree, as_json):
+    argv = ["--json"] * as_json + ["sr-basis", "--mode", mode, "--degree", str(degree)]
+    assert run_on_stdin(argv, emit_complex(K)) == (
+        0, list_copy_sr_basis_output(K, mode, degree, as_json))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_VALUES, st.sampled_from([1, 2, 3, cli.WRITE_BATCH]))
+@example({"q\"\\\n\t\x00é€😀": ["\u2028", ("a", None, True, -(10**30))], "": {}}, 1)
+def test_streamed_json_matches_dumps(payload, batch):
+    # a command whose payload is drawn, printed the way every --json payload is
+    row = (lambda K, args: payload, None, "[PATH]", "")
+    with mock.patch.dict(cli.COMMANDS, {"info": row}), mock.patch.object(cli, "WRITE_BATCH", batch):
+        got = run_on_stdin(["info"], SQUARE)
+    assert got == (0, json.dumps(payload, indent=2) + "\n")
+
+
 def test_sr_basis_negative_degree_exit_2(write_doc, capsys):
     code, out, err = run(
         capsys, ["sr-basis", "--mode", "real", "--degree", "-1", write_doc(BOUNDARY3)]
@@ -255,7 +295,7 @@ def test_word_reduce_blocks_json(write_doc, capsys):
 def test_word_reduce_normalises_once(write_doc, capsys, monkeypatch, as_json):
     from combitop import graphprod
 
-    calls = {"_fully_reduce": 0, "_block_split": 0}
+    calls = {"_fully_reduce": 0, "_block_split": 0, "GroupWord": 0}
     for name in calls:
         real = getattr(graphprod, name)
 
@@ -267,7 +307,8 @@ def test_word_reduce_normalises_once(write_doc, capsys, monkeypatch, as_json):
     argv = ["word-reduce", "--group", "artin", write_doc(SQUARE), "v2^1 v1^1 v3^1 v2^-1 v4^2"]
     code, out, _ = run(capsys, ["--json", *argv] if as_json else argv)
     assert code == 0 and out
-    assert calls == {"_fully_reduce": 1, "_block_split": 1}
+    # one GroupWord, the parsed word: no word is built per block to format it
+    assert calls == {"_fully_reduce": 1, "_block_split": 1, "GroupWord": 1}
 
 
 def test_word_reduce_identity(write_doc, capsys):

@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import signal
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combitop import cli
 from combitop.graphprod import (
     KINDS,
     CommutationGraph,
@@ -34,6 +36,7 @@ from oracles import (
     all_graphs,
     all_words,
     artin_alphabet,
+    group_word_reduce_payload,
     old_style_letters,
     random_word,
     restart_reduce,
@@ -255,6 +258,18 @@ def test_single_pass_matches_restart_oracle(w):
     slow = restart_reduce(w.kind, adj, list(w.letters))
     assert len(fast) == len(slow)
     assert _block_split(adj, fast) == _block_split(adj, slow)
+
+
+@settings(max_examples=300)
+@given(word_cases())
+def test_word_reduce_payload_matches_group_word_rendering(w):
+    # word-reduce formats each block once and joins them; the oracle builds and
+    # formats a GroupWord for the normal form and for each block
+    m = w.graph.m
+    edges = [[i, j] for i, j in itertools.combinations(range(1, m + 1), 2) if w.graph.adjacent(i, j)]
+    K = SimplicialComplex.from_maximal_faces(m, edges)
+    args = types.SimpleNamespace(group=w.kind, word=format_word(w))
+    assert cli._cmd_word_reduce(K, args) == group_word_reduce_payload(w)
 
 
 @st.composite

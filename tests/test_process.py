@@ -25,6 +25,7 @@ DOCS = {
     "SQUARE": {"vertices": 4, "maximal_faces": [[1, 2], [2, 3], [3, 4], [1, 4]]},
     "SIMPLEX4": {"vertices": 4, "maximal_faces": [[1, 2, 3, 4]]},
     "GHOSTS17": {"vertices": 17, "maximal_faces": []},
+    "SIMPLEX6": {"vertices": 6, "maximal_faces": [[1, 2, 3, 4, 5, 6]]},
 }
 
 COMMANDS = [
@@ -94,13 +95,13 @@ def test_process_matches_main(in_docs, argv, as_json):
             assert (proc.returncode, out, err) == want, (sink, proc.args)
 
 
-def read_5_bytes_then_close(argv) -> tuple[int, bytes]:
+def read_5_bytes_then_close(argv, head=b"v1^26") -> tuple[int, bytes]:
     r, w = os.pipe()
     fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 16)
     with os.fdopen(r, "rb", buffering=0) as reader:
         proc = subprocess.Popen(argv, env=env(buffered=True), stdout=w, stderr=subprocess.PIPE)
         os.close(w)
-        assert reader.read(5) == b"v1^26"
+        assert reader.read(5) == head
     _, err = proc.communicate(timeout=60)
     return proc.returncode, err
 
@@ -118,6 +119,40 @@ def test_broken_pipe_is_reported_by_the_normal_exit(in_docs):
     assert b"BrokenPipeError" in err and b"Traceback" not in err
     plain = "import sys; from combitop.cli import main; sys.exit(main())"
     assert read_5_bytes_then_close([sys.executable, "-c", plain, *args]) == (code, err)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_broken_pipe_mid_output_ends_as_a_short_one(in_docs, as_json):
+    # 78,126 bytes in text, more than the pipe and a stdout buffer hold: the write
+    # that fails is one of main's, not the last flush.  It ends as the 66,600-byte
+    # output above does, with no traceback.
+    args = ["--json"] * as_json + ["sr-basis", "--mode", "real", "--degree", "11", "SIMPLEX6"]
+    head = b"[\n  [" if as_json else b"v1^11"
+    short = read_5_bytes_then_close(cli_argv("sr-basis", "--mode", "real", "--degree", "26",
+                                             "SIMPLEX4"))
+    assert short[0] == 120 and b"BrokenPipeError" in short[1]
+    assert read_5_bytes_then_close(cli_argv(*args), head) == short
+    plain = "import sys; from combitop.cli import main; sys.exit(main())"
+    assert read_5_bytes_then_close([sys.executable, "-c", plain, *args], head) == short
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["info", "BOUNDARY3"],
+                                  ["--json", "sr-basis", "--mode", "real", "--degree", "11",
+                                   "SIMPLEX6"]], ids=" ".join)
+def test_full_device(in_docs, argv, buffered):
+    # every write fails with ENOSPC: unbuffered, main reports the first on one line;
+    # buffered, the normal exit reports the failed last flush
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(cli_argv(*argv), env=env(buffered), stdout=full,
+                              stderr=subprocess.PIPE, timeout=60)
+    assert done.returncode == 120
+    if buffered:
+        assert done.stderr.startswith(b"Exception ignored")
+        assert b"OSError" in done.stderr and b"Traceback" not in done.stderr
+    else:
+        assert done.stderr == b"error: cannot write output: No space left on device\n"
 
 
 def test_closed_stdout(in_docs):
