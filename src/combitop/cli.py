@@ -3,11 +3,11 @@
 Complexes are read from JSON documents: {"vertices": m, "maximal_faces":
 [[...], ...], "name": "..."} with 1-indexed vertices.  ``main`` alone reads
 the document, once per job, and renders the JSON-ready payload that the
-subcommand computes from it without printing: as JSON under --json, written as
-it is encoded (``flagify`` always prints a complex document), and through the
-subcommand's text renderer otherwise.  It maps errors to exit codes: 0 on
-success, 1 for domain errors (a library ValueError), 2 for input errors, 120
-when the output cannot be written.  All output is deterministically ordered.
+subcommand computes from it without printing, writing it as it is encoded or
+rendered: as JSON under --json (``flagify`` always prints a complex document),
+and through the subcommand's text renderer otherwise.  It maps errors to exit
+codes: 0 on success, 1 for domain errors (a library ValueError), 2 for input
+errors, 120 when the output cannot be written.  Output order is deterministic.
 
 Run as a program (``combitop`` or ``python -m combitop.cli``), the process
 exits right after it flushes its output, without the interpreter's teardown,
@@ -28,7 +28,7 @@ import types
 
 from ._bits import popcount, vertices_of
 from .arrangement import arrangement as build_arrangement
-from .simplicial import MAX_VERTICES, SimplicialComplex, facet_masks
+from .simplicial import MAX_FACE_ESTIMATE, MAX_VERTICES, SimplicialComplex, facet_masks
 
 # Each subcommand imports the library modules it runs, so a process loads
 # only those: graphprod and fractions, say, stay out of every other command.
@@ -41,12 +41,6 @@ USAGE = "[-h] [--json] COMMAND ..."
 GROUP = "--group {coxeter,artin,circulation}"
 MODE = "--mode {real,complex,exterior}"
 
-#: Largest face-count estimate 1 + m + sum of 2^|F| over the maximal faces F
-#: that a document may have; ``from_facet_masks`` enumerates that many submasks.
-#: Parsing 0.92 M faces on 64 vertices takes 3.8 s and 110 MB (Python 3.11,
-#: Intel Xeon); 3.7 M faces took 18 s and 380 MB.
-MAX_FACE_ESTIMATE = 1 << 20
-
 #: Largest monomial basis that ``sr-basis`` enumerates, counted exactly as the
 #: Hilbert series coefficient in the requested degree.  Enumerating 0.35 M
 #: monomials takes 0.9-1.1 s and 94 MB, 0.71 M 1.6 s and 178 MB (Python 3.11,
@@ -54,8 +48,8 @@ MAX_FACE_ESTIMATE = 1 << 20
 #: 2.7-2.9 s and 261 MB in text, 10.3 s and 185 MB under --json.
 MAX_BASIS_MONOMIALS = 1 << 20
 
-#: JSON chunks joined into one write.  The encoder yields a chunk per token, and
-#: under PYTHONUNBUFFERED each write is a system call.
+#: Output chunks joined into one write: JSON tokens, or text lines.  The encoder
+#: yields a chunk per token, and under PYTHONUNBUFFERED each write is a system call.
 WRITE_BATCH = 8192
 
 
@@ -218,10 +212,11 @@ def _cmd_sr_basis(K, args) -> list:
     return [mono.powers for mono in sralg.monomial_basis(K, mode, args.degree)]
 
 
-def _text_sr_basis(p) -> list[str]:
+def _text_sr_basis(p):
     from .sralg import format_powers
 
-    return [format_powers(powers) for powers in p] + [f"count: {len(p)}"]
+    yield from map(format_powers, p)
+    yield f"count: {len(p)}"
 
 
 def _parse_words(K: SimplicialComplex, kind: str, *texts) -> list:
@@ -445,7 +440,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc, CliError) else 1
     if args.json or text is None:
         return _print_chunks(json.JSONEncoder(indent=2).iterencode(payload))
-    return _print_chunks(["\n".join(text(payload))])
+    # "\n", line, "\n", line, ... without the first "\n": no line is copied to append its newline
+    chunks = itertools.chain.from_iterable(zip(itertools.repeat("\n"), text(payload)))
+    return _print_chunks(itertools.islice(chunks, 1, None))
 
 
 def _print_chunks(chunks) -> int:

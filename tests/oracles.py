@@ -62,6 +62,23 @@ def brute_clique_complex(K: SimplicialComplex) -> set[frozenset[int]]:
     return out
 
 
+def walk_clique_masks(adj) -> set[int]:
+    """Every clique of the graph with neighbor masks ``adj[1..m]``, the empty one included:
+    a walk that extends each clique by its common neighbors above its top vertex."""
+    cliques = {0}
+    stack = [(1 << (v - 1), adj[v]) for v in range(1, len(adj))]
+    while stack:
+        mask, common = stack.pop()
+        cliques.add(mask)
+        top = mask.bit_length()
+        ext = common >> top << top
+        while ext:
+            low = ext & -ext
+            stack.append((mask | low, common & adj[low.bit_length()]))
+            ext ^= low
+    return cliques
+
+
 def flag_pair_c(K: SimplicialComplex, L: SimplicialComplex):
     """c(K, L) for K <= L through the flagification: K's c when flag(K) holds L, else 1."""
     from combitop.connectivity import connectivity_report

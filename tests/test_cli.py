@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from combitop import cli, facecat
+from combitop import cli, facecat, simplicial
 from combitop._bits import vertices_of
 from combitop.cli import emit_complex, main, parse_complex
 from combitop.facecat import cubical_model
@@ -255,6 +256,16 @@ def test_streamed_json_matches_dumps(payload, batch):
     with mock.patch.dict(cli.COMMANDS, {"info": row}), mock.patch.object(cli, "WRITE_BATCH", batch):
         got = run_on_stdin(["info"], SQUARE)
     assert got == (0, json.dumps(payload, indent=2) + "\n")
+
+
+@settings(max_examples=100)
+@given(st.lists(st.text()), st.sampled_from([1, 2, 3, cli.WRITE_BATCH]))
+def test_streamed_text_matches_join(lines, batch):
+    # a command whose text renderer yields drawn lines, printed the way every text payload is
+    row = (lambda K, args: lines, iter, "[PATH]", "")
+    with mock.patch.dict(cli.COMMANDS, {"info": row}), mock.patch.object(cli, "WRITE_BATCH", batch):
+        got = run_on_stdin(["info"], SQUARE)
+    assert got == (0, "\n".join(lines) + "\n")
 
 
 def test_sr_basis_negative_degree_exit_2(write_doc, capsys):
@@ -517,13 +528,50 @@ def test_pair_connectivity_complete_graph(write_doc, m):
     assert done.stdout.splitlines()[0] == "c(K,L): 2"
 
 
-@pytest.mark.parametrize("m", [40, 64])
-def test_flagify_complete_graph_refused(write_doc, m):
-    # the clique complex has 2^m faces: the walk stops past 2^20
-    done = run_capped("flagify", write_doc(complete_graph(m)))
+def complete_multipartite_graph(parts: int, size: int) -> dict:
+    """The document of the complete graph with ``parts`` parts of ``size`` vertices each."""
+    m = parts * size
+    edges = [[i, j] for i in range(1, m + 1) for j in range(i + 1, m + 1)
+             if (i - 1) // size != (j - 1) // size]
+    return {"vertices": m, "maximal_faces": edges}
+
+
+@pytest.mark.parametrize("doc, first", [
+    pytest.param(complete_graph(40), 40, id="40"),
+    pytest.param(complete_graph(64), 64, id="64"),
+    pytest.param(complete_multipartite_graph(21, 3), 21, id="3x21"),
+])
+def test_flagify_complete_graph_refused(write_doc, doc, first):
+    # the first maximal clique found, of `first` vertices, already passes the estimate's bound
+    path = write_doc(doc)
+    start = time.perf_counter()
+    done = run_capped("flagify", path)
+    assert time.perf_counter() - start < 1
     assert done.returncode == 1
     assert done.stdout == ""
-    assert done.stderr == f"error: flag complex too large: more than {2**20} faces\n"
+    estimate = 1 + doc["vertices"] + 2**first
+    assert done.stderr == (
+        "error: flag complex too large: its maximal cliques found so far span"
+        f" up to {estimate} faces, more than {2**20}\n"
+    )
+
+
+@settings(max_examples=150)
+@given(small_complexes(max_m=8), st.integers(1, 300))
+def test_flagify_refused_exactly_when_its_document_is(K, bound):
+    # the flag complex's own document, read under the same bound by both modules
+    doc = emit_complex(K.flagify())
+    with mock.patch.object(simplicial, "MAX_FACE_ESTIMATE", bound), \
+            mock.patch.object(cli, "MAX_FACE_ESTIMATE", bound), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_on_stdin(["info"], doc)[0]
+        try:
+            K.flagify()
+        except ValueError as exc:
+            assert str(exc).startswith("flag complex too large: ")
+            assert code == 1 and err.getvalue().startswith("error: complex too large: ")
+        else:
+            assert code == 0
 
 
 def test_pair_connectivity_not_subcomplex_exit_1(write_doc, capsys):

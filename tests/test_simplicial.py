@@ -9,6 +9,7 @@ from combitop.simplicial import (
     SimplicialComplex,
     discrete_complex,
     full_simplex,
+    maximal_cliques,
     polygon_boundary,
     simplex_boundary,
 )
@@ -22,6 +23,7 @@ from oracles import (
     face_sets,
     random_complexes,
     small_complexes,
+    walk_clique_masks,
 )
 
 
@@ -127,6 +129,63 @@ def test_flagify_square_with_diagonal(named_complexes):
 def test_flagify_matches_clique_complex_oracle(test_complexes):
     for K in test_complexes:
         assert face_sets(K.flagify()) == brute_clique_complex(K)
+
+
+@settings(max_examples=300)
+@given(small_complexes(max_m=10))
+def test_maximal_cliques_match_clique_complex_oracle(K):
+    cliques = maximal_cliques(K.adjacency_masks())
+    found = {frozenset(vertices_of(c)) for c in cliques}
+    every = brute_clique_complex(K)
+    assert len(found) == len(cliques)
+    assert found == {c for c in every if c and not any(c < d for d in every)}
+
+
+def random_graph(m: int, p: float, rng: random.Random) -> SimplicialComplex:
+    edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if rng.random() < p]
+    return SimplicialComplex.from_maximal_faces(m, edges)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flagify_matches_clique_walk_on_sparse_graphs(seed):
+    rng = random.Random(seed)
+    for m in (1, 2, 7, 16, 33, 48, 63, 64):
+        G = random_graph(m, rng.choice([0.05, 0.1, 0.2, 0.3]), rng)
+        adj = G.adjacency_masks()
+        cliques = walk_clique_masks(adj)
+        assert G.flagify().face_masks == cliques
+        maximal = {c for c in cliques
+                   if c and not any(c | 1 << i in cliques for i in range(m) if not c >> i & 1)}
+        assert sorted(maximal_cliques(adj)) == sorted(maximal)
+
+
+def multipartite_adjacency(parts: int, size: int) -> list[int]:
+    """Neighbor masks of the complete multipartite graph with ``parts`` parts of ``size``
+    vertices each, vertex v in part (v - 1) // size."""
+    m = parts * size
+    part = [(v - 1) // size for v in range(m + 1)]
+    return [0] + [sum(1 << (u - 1) for u in range(1, m + 1) if part[u] != part[v])
+                  for v in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_maximal_cliques_of_complete_multipartite_graph(k):
+    # K_{3,...,3}: a maximal clique takes one vertex from each of the k parts
+    cliques = maximal_cliques(multipartite_adjacency(k, 3))
+    assert len(cliques) == len(set(cliques)) == 3**k
+    assert all(c.bit_count() == k and all(c >> 3 * i & 7 in (1, 2, 4) for i in range(k))
+               for c in cliques)
+
+
+def test_maximal_cliques_refused_past_the_face_estimate():
+    # k = 8: 1 + 24 + 3^8 * 2^8 faces estimated, more than 2^20; k = 7 is 1 + 21 + 3^7 * 2^7
+    with pytest.raises(ValueError, match=r"^flag complex too large: .* more than 1048576$"):
+        maximal_cliques(multipartite_adjacency(8, 3))
+
+
+def test_maximal_cliques_of_no_vertices():
+    assert maximal_cliques([0]) == []
+    assert discrete_complex(0).flagify() == discrete_complex(0)
 
 
 def test_flagify_idempotent_and_flag(test_complexes):

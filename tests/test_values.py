@@ -101,13 +101,14 @@ def test_value_class_checks_fields(cls, kwargs):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
+    # under -S, since the site hooks of some interpreters (Python 3.13) import inspect
     code = (
         "import combitop.cli, sys; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
