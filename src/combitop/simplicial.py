@@ -4,8 +4,9 @@ Faces are stored as bitmasks over the vertex set (m <= 64).  Every complex
 contains the empty face and all singletons; constructors enforce both.
 ``SimplicialComplex(m, masks)`` validates downward closure; the builders whose
 families are closed by construction (``from_maximal_faces``,
-``from_facet_masks``, ``flagify``) skip that check.  ``flagify`` refuses exactly
-the flag complexes whose own CLI document ``MAX_FACE_ESTIMATE`` refuses.
+``from_facet_masks``, ``flagify``) skip that check, and hold the one face
+bound: past ``MAX_FACE_ESTIMATE`` they raise ValueError before building any
+face, ``flagify`` while its clique search runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from ._bits import Value, iter_vertices, mask_of, popcount, setfield, submasks, 
 
 MAX_VERTICES = 64
 
-#: Largest estimate 1 + m + sum of 2^|F| over the facets F of a CLI document or a flagification:
+#: Largest estimate 1 + m + sum of 2^|F| over the facets F of a complex or a flagification:
 #: the submasks ``from_facet_masks`` enumerates.  0.92 M take 3.8 s, 110 MB (Python 3.11, Xeon).
 MAX_FACE_ESTIMATE = 1 << 20
 
@@ -26,13 +27,18 @@ def _face_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
 
 
 def facet_masks(m: int, maximal: Iterable[Iterable[int]]) -> list[int]:
-    """Masks of the given vertex subsets, each vertex checked against 1..m."""
+    """Masks of the given vertex subsets.  TypeError for a vertex count or vertex that is
+    not an int (a bool is not one), ValueError for m outside 0..64 or a vertex outside 1..m."""
+    if type(m) is not int:
+        raise TypeError(f"vertex count {m!r} is not an integer")
     if not 0 <= m <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {m}")
     masks = []
     for subset in maximal:
         mask = 0
         for v in subset:
+            if type(v) is not int:
+                raise TypeError(f"vertex {v!r} is not an integer")
             if not 1 <= v <= m:
                 raise ValueError(f"vertex {v} out of range 1..{m}")
             mask |= 1 << (v - 1)
@@ -52,8 +58,7 @@ class SimplicialComplex(Value):
     __slots__ = ("m", "face_masks")
 
     def __init__(self, m: int, face_masks: frozenset[int]) -> None:
-        if not 0 <= m <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {m}")
+        facet_masks(m, ())  # m in 0..MAX_VERTICES
         full = (1 << m) - 1
         if 0 not in face_masks:
             raise ValueError("the empty face is missing")
@@ -81,21 +86,22 @@ class SimplicialComplex(Value):
         return cls.from_facet_masks(m, facet_masks(m, maximal))
 
     @classmethod
-    def from_facet_masks(cls, m: int, masks: Iterable[int]) -> "SimplicialComplex":
-        """``from_maximal_faces`` on masks that ``facet_masks(m, ...)`` has already checked."""
+    def from_facet_masks(cls, m: int, masks: Sequence[int]) -> "SimplicialComplex":
+        """``from_maximal_faces`` on masks that ``facet_masks(m, ...)`` has already checked.
+        ValueError, before any face is built, when they could span more than
+        ``MAX_FACE_ESTIMATE`` faces: 1 + m + the sum of 2^|F| over the masks F."""
+        estimate = 1 + m + sum(1 << popcount(f) for f in masks)
+        if estimate > MAX_FACE_ESTIMATE:
+            raise ValueError(f"complex too large: its maximal faces span up to {estimate} faces,"
+                             f" more than {MAX_FACE_ESTIMATE}")
         faces = {0}
         for v in range(1, m + 1):
             faces.add(1 << (v - 1))
         for mask in masks:
             faces.update(submasks(mask))
-        return cls._closed(m, frozenset(faces))
-
-    @classmethod
-    def _closed(cls, m: int, face_masks: frozenset[int]) -> "SimplicialComplex":
-        """A complex from a family that is downward closed by construction, unchecked."""
-        K = cls.__new__(cls)
+        K = cls.__new__(cls)  # downward closed by construction: __init__'s check is skipped
         setfield(K, "m", m)
-        setfield(K, "face_masks", face_masks)
+        setfield(K, "face_masks", frozenset(faces))
         return K
 
     # -- basic queries -----------------------------------------------

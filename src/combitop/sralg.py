@@ -7,6 +7,8 @@ follow the Koszul convention for ascending vertex order.
 
 Basis monomials are the multisets (subsets, in the exterior case) whose
 support is a face; everything else is killed by the relation ideal.
+``monomial_basis`` raises ValueError, before it builds any monomial, for a
+basis of more than ``MAX_BASIS_MONOMIALS`` monomials.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ from enum import Enum
 
 from ._bits import Value, mask_of, setfield
 from .simplicial import SimplicialComplex
+
+#: Largest monomial basis that ``monomial_basis`` enumerates, counted exactly as the
+#: Hilbert series coefficient in the requested degree.  Enumerating 0.35 M
+#: monomials takes 0.9-1.1 s and 94 MB, 0.71 M 1.6 s and 178 MB (Python 3.11,
+#: Intel Xeon), before the output is rendered; the whole CLI run on 0.71 M takes
+#: 2.7-2.9 s and 261 MB in text, 10.3 s and 185 MB under --json.
+MAX_BASIS_MONOMIALS = 1 << 20
 
 
 class GradingMode(Enum):
@@ -91,10 +100,18 @@ def monomial_basis(K: SimplicialComplex, mode: GradingMode, degree: int) -> list
     One walk serves every grading: vertices join the support in ascending
     order, each with its highest exponent first and only while the support
     stays a face, so the monomials come out in order.  Exterior caps the
-    exponent at 1.
+    exponent at 1.  ValueError past ``MAX_BASIS_MONOMIALS`` monomials.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    count = hilbert_series(K, mode).coefficient(degree)
+    if count > MAX_BASIS_MONOMIALS:
+        try:
+            size = str(count)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            size = f"a {count.bit_length()}-bit number of"
+        raise ValueError(
+            f"monomial basis too large: {size} monomials, more than {MAX_BASIS_MONOMIALS}")
     g = mode.generator_degree
     if degree % g:
         return []

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from combitop import cli, facecat, simplicial
+from combitop import cli, facecat, simplicial, sralg
 from combitop._bits import vertices_of
 from combitop.cli import emit_complex, main, parse_complex
 from combitop.facecat import cubical_model
@@ -260,6 +260,10 @@ def test_streamed_json_matches_dumps(payload, batch):
 
 @settings(max_examples=100)
 @given(st.lists(st.text()), st.sampled_from([1, 2, 3, cli.WRITE_BATCH]))
+@example([], 1)  # no line: only the final newline
+@example(["", "é€😀", "", "\u2028x", ""], 1)
+@example(["", "é€😀", "", "\u2028x", ""], 2)
+@example(["a", "", "ü"] * 5, 3)
 def test_streamed_text_matches_join(lines, batch):
     # a command whose text renderer yields drawn lines, printed the way every text payload is
     row = (lambda K, args: lines, iter, "[PATH]", "")
@@ -273,6 +277,24 @@ def test_sr_basis_negative_degree_exit_2(write_doc, capsys):
         capsys, ["sr-basis", "--mode", "real", "--degree", "-1", write_doc(BOUNDARY3)]
     )
     assert (code, out, err) == (2, "", "error: --degree must be >= 0, got -1\n")
+
+
+NINES = "9" * 2500  # a degree whose coefficient on the 2-simplex has about 5,000 digits
+
+
+@pytest.mark.parametrize("command, code, message", [
+    ("sr-hilbert", 2, "coefficient too large to print: {bits} bits"),
+    ("sr-basis", 1, "monomial basis too large: a {bits}-bit number of monomials,"
+                    " more than 1048576"),
+])
+def test_coefficient_past_the_int_to_str_limit(write_doc, capsys, command, code, message):
+    # past the interpreter's int-to-str digit limit the coefficient cannot be printed;
+    # it is refused before any output, by its size in bits
+    bits = math.comb(int(NINES) + 2, 2).bit_length()
+    path = write_doc({"vertices": 3, "maximal_faces": [[1, 2, 3]]})
+    argv = [command, "--mode", "real", "--degree", NINES, path]
+    for flag in ([], ["--json"]):
+        assert run(capsys, flag + argv) == (code, "", f"error: {message.format(bits=bits)}\n")
 
 
 def test_word_reduce(write_doc, capsys):
@@ -443,9 +465,9 @@ def test_large_monomial_basis_refused_exit_1(write_doc):
 def test_monomial_basis_bound(write_doc, capsys, monkeypatch):
     path = write_doc(BOUNDARY3)  # degree 2, real: 3 squares + 3 edges = 6 monomials
     argv = ["sr-basis", "--mode", "real", "--degree", "2", path]
-    monkeypatch.setattr(cli, "MAX_BASIS_MONOMIALS", 6)
+    monkeypatch.setattr(sralg, "MAX_BASIS_MONOMIALS", 6)
     assert run(capsys, argv)[0] == 0
-    monkeypatch.setattr(cli, "MAX_BASIS_MONOMIALS", 5)
+    monkeypatch.setattr(sralg, "MAX_BASIS_MONOMIALS", 5)
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert err == "error: monomial basis too large: 6 monomials, more than 5\n"
@@ -453,9 +475,9 @@ def test_monomial_basis_bound(write_doc, capsys, monkeypatch):
 
 def test_face_estimate_bound(write_doc, capsys, monkeypatch):
     path = write_doc(BOUNDARY3)  # estimate 1 + 3 + 3 * 2^2 = 16
-    monkeypatch.setattr(cli, "MAX_FACE_ESTIMATE", 16)
+    monkeypatch.setattr(simplicial, "MAX_FACE_ESTIMATE", 16)
     assert run(capsys, ["info", path])[0] == 0
-    monkeypatch.setattr(cli, "MAX_FACE_ESTIMATE", 15)
+    monkeypatch.setattr(simplicial, "MAX_FACE_ESTIMATE", 15)
     code, out, err = run(capsys, ["info", path])
     assert (code, out) == (1, "")
     assert err == "error: complex too large: its maximal faces span up to 16 faces, more than 15\n"
@@ -559,10 +581,9 @@ def test_flagify_complete_graph_refused(write_doc, doc, first):
 @settings(max_examples=150)
 @given(small_complexes(max_m=8), st.integers(1, 300))
 def test_flagify_refused_exactly_when_its_document_is(K, bound):
-    # the flag complex's own document, read under the same bound by both modules
+    # the flag complex's own document, read under the same bound
     doc = emit_complex(K.flagify())
     with mock.patch.object(simplicial, "MAX_FACE_ESTIMATE", bound), \
-            mock.patch.object(cli, "MAX_FACE_ESTIMATE", bound), \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = run_on_stdin(["info"], doc)[0]
         try:
@@ -570,6 +591,22 @@ def test_flagify_refused_exactly_when_its_document_is(K, bound):
         except ValueError as exc:
             assert str(exc).startswith("flag complex too large: ")
             assert code == 1 and err.getvalue().startswith("error: complex too large: ")
+        else:
+            assert code == 0
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 8), st.lists(st.lists(st.integers(1, 8)), max_size=4), st.integers(1, 600))
+def test_document_refused_exactly_when_the_library_refuses(m, faces, bound):
+    # redundant and repeated faces count in the estimate as they do in from_facet_masks
+    faces = [[v for v in face if v <= m] for face in faces]
+    with mock.patch.object(simplicial, "MAX_FACE_ESTIMATE", bound), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code, out = run_on_stdin(["info"], {"vertices": m, "maximal_faces": faces})
+        try:
+            SimplicialComplex.from_facet_masks(m, simplicial.facet_masks(m, faces))
+        except ValueError as exc:
+            assert (code, out) == (1, "") and err.getvalue() == f"error: {exc}\n"
         else:
             assert code == 0
 
@@ -607,7 +644,24 @@ GOLDEN_DOCS = {
     "SIMPLEX3": {"vertices": 3, "maximal_faces": [[1, 2, 3]]},
     "SIMPLEX4": {"vertices": 4, "maximal_faces": [[1, 2, 3, 4]]},
     "GHOSTS17": {"vertices": 17, "maximal_faces": []},
+    "FLOAT_VERTEX": {"vertices": 3, "maximal_faces": [[1, 2.0]]},
+    "STRING_VERTEX": {"vertices": 3, "maximal_faces": [[1, "2"]]},
+    "BOOL_VERTEX": {"vertices": 3, "maximal_faces": [[1, True]]},
+    "FACE_NOT_A_LIST": {"vertices": 3, "maximal_faces": [[1, 2], 3]},
+    "VERTICES_65": {"vertices": 65, "maximal_faces": []},
+    "VERTICES_TRUE": {"vertices": True, "maximal_faces": []},
+    # past the interpreter's int-to-str digit limit, which json.dumps would refuse to write
+    "DIGITS_5000": '{"vertices": 1' + "0" * 4999 + ', "maximal_faces": []}',
 }
+
+
+def int_limit_text() -> str:
+    """The interpreter's message for a 5,000-digit integer literal."""
+    try:
+        int("1" * 5000)
+    except ValueError as exc:
+        return str(exc)
+    pytest.skip("this interpreter has no int-to-str digit limit")
 
 
 def lines(*rows):
@@ -893,13 +947,20 @@ GOLDEN_ERRORS = [
         1,
         "error: complexes must share a vertex set\n",
     ),
+    (["info", "FLOAT_VERTEX"], 2, "error: vertex 2.0 is not an integer\n"),
+    (["info", "STRING_VERTEX"], 2, "error: vertex '2' is not an integer\n"),
+    (["info", "BOOL_VERTEX"], 2, "error: vertex True is not an integer\n"),
+    (["info", "FACE_NOT_A_LIST"], 2, "error: 'maximal_faces' must be a list of lists\n"),
+    (["info", "VERTICES_65"], 2, "error: vertex count must be in 0..64, got 65\n"),
+    (["info", "VERTICES_TRUE"], 2, "error: vertex count True is not an integer\n"),
+    (["info", "DIGITS_5000"], 2, "error: invalid JSON in DIGITS_5000: {int_limit}\n"),
 ]
 
 
 @pytest.fixture
 def golden_dir(tmp_path, monkeypatch):
     for name, doc in GOLDEN_DOCS.items():
-        (tmp_path / name).write_text(json.dumps(doc))
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     monkeypatch.chdir(tmp_path)
 
 
@@ -913,6 +974,8 @@ def test_golden_output(golden_dir, capsys, argv, text, as_json):
     "argv, code, err", GOLDEN_ERRORS, ids=[" ".join(g[0]) for g in GOLDEN_ERRORS]
 )
 def test_golden_errors(golden_dir, capsys, argv, code, err):
+    if "{int_limit}" in err:
+        err = err.format(int_limit=int_limit_text())
     assert run(capsys, argv) == (code, "", err)
     assert run(capsys, ["--json", *argv]) == (code, "", err)
 

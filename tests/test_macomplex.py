@@ -188,6 +188,77 @@ def test_splitting_matches_cubical_model(K):
     # torsion and trailing zero groups included
     for mod2 in (False, True):
         assert moment_angle_homology(K, mod2) == real_moment_angle(K).homology(mod2=mod2)
+    check_euler_and_universal_coefficients(K)
+
+
+# -- identities that hold at every size the CLI admits -------------------
+
+
+def cell_euler(K) -> int:
+    """The Euler characteristic of R_K from its cells: 2^(m - |J|) cells for each face J."""
+    return sum((-1) ** J.bit_count() << K.m - J.bit_count() for J in K.face_masks)
+
+
+def alternating_rank(groups) -> int:
+    return sum((-1) ** i * g.betti for i, g in enumerate(groups))
+
+
+def universal_coefficient_ranks(groups) -> list[int]:
+    """GF(2) Betti numbers from the integer groups: b_i + t_i + t_(i-1), with t_i the
+    number of even invariant factors of H_i."""
+    even = [sum(d % 2 == 0 for d in g.torsion) for g in groups]
+    return [g.betti + t + s for g, t, s in zip(groups, even, [0, *even])]
+
+
+def check_euler_and_universal_coefficients(K):
+    Z, F2 = moment_angle_homology(K), moment_angle_homology(K, mod2=True)
+    assert alternating_rank(Z) == alternating_rank(F2) == cell_euler(K)
+    assert [g.betti for g in F2] == universal_coefficient_ranks(Z)
+
+
+def test_euler_and_universal_coefficients(test_complexes):
+    for K in test_complexes + [RP2, RP2_AND_POINT, polygon_boundary(8), simplex_boundary(7)]:
+        check_euler_and_universal_coefficients(K)
+
+
+def polygon_groups(m: int) -> list[HomologyGroup]:
+    """R_K of the m-gon: an orientable surface of genus 1 + (m - 4) 2^(m - 3)."""
+    return [Z, HomologyGroup(2 + (m - 4) * 2 ** (m - 2)), Z]
+
+
+@pytest.mark.parametrize("m", range(4, 17))
+def test_polygon_is_a_surface_of_its_genus(m):
+    for mod2 in (False, True):
+        assert moment_angle_homology(polygon_boundary(m), mod2) == polygon_groups(m)
+
+
+def test_identities_fail_on_mutated_reducers(monkeypatch):
+    snf, rank, groups = (macomplex.sparse_smith_normal_form, macomplex.xor_rank,
+                         macomplex.homology_groups)
+    with monkeypatch.context() as patch:
+        # a torsion factor dropped, every rank kept: universal coefficients see it
+        patch.setattr(macomplex, "sparse_smith_normal_form", lambda cols: [1] * len(snf(cols)))
+        Z = moment_angle_homology(RP2)
+        assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] != (
+            universal_coefficient_ranks(Z))
+    with monkeypatch.context() as patch:
+        # a pivot dropped in either ring: the polygon's closed form sees it, and
+        # universal coefficients see it over Z
+        patch.setattr(macomplex, "sparse_smith_normal_form", lambda cols: snf(cols)[:-1])
+        patch.setattr(macomplex, "xor_rank", lambda cols: max(rank(cols) - 1, 0))
+        for mod2 in (False, True):
+            assert moment_angle_homology(polygon_boundary(6), mod2) != polygon_groups(6)
+        patch.setattr(macomplex, "xor_rank", rank)
+        Z = moment_angle_homology(RP2)
+        assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] != (
+            universal_coefficient_ranks(Z))
+    with monkeypatch.context() as patch:
+        # a chain group one cell larger: the Euler identity sees it, which no change
+        # to a Smith diagonal can break, as each rank enters two Betti numbers of
+        # opposite sign
+        patch.setattr(macomplex, "homology_groups",
+                      lambda ranks, diagonals: groups([ranks[0] + 1, *ranks[1:]], diagonals))
+        assert alternating_rank(moment_angle_homology(RP2)) != cell_euler(RP2)
 
 
 @settings(max_examples=60)

@@ -1,9 +1,12 @@
 import random
+import re
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
+from combitop import simplicial
 from combitop._bits import vertices_of
 from combitop.simplicial import (
     SimplicialComplex,
@@ -44,6 +47,33 @@ def test_from_maximal_faces_rejects_bad_vertex():
         SimplicialComplex.from_maximal_faces(3, [[1, 4]])
     with pytest.raises(ValueError):
         SimplicialComplex.from_maximal_faces(3, [[0, 1]])
+    # each message names the value: a bool is no vertex, though it is an int to isinstance
+    for m, faces, message in [
+        (3, [[1, 2.5]], "vertex 2.5 is not an integer"),
+        (3, [[1, 2.0]], "vertex 2.0 is not an integer"),
+        (3, [[1, "2"]], "vertex '2' is not an integer"),
+        (3, [[True, 2]], "vertex True is not an integer"),
+        (3.0, [], "vertex count 3.0 is not an integer"),
+        (True, [], "vertex count True is not an integer"),
+        (None, [], "vertex count None is not an integer"),
+    ]:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SimplicialComplex.from_maximal_faces(m, faces)
+
+
+def test_from_maximal_faces_refused_past_the_face_estimate(monkeypatch):
+    def refuse(mask):
+        raise AssertionError("a face was built")
+
+    # 1 + 64 + 2^40 faces estimated: refused before the first submask is enumerated
+    monkeypatch.setattr(simplicial, "submasks", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^complex too large: its maximal faces span up to"
+                                         rf" {1 + 64 + 2**40} faces, more than 1048576$"):
+        SimplicialComplex.from_maximal_faces(64, [range(1, 41)])
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match=rf"up to {1 + 20 + 2**20} faces"):
+        full_simplex(20)
 
 
 def test_simplex_boundary_is_all_proper_subsets():

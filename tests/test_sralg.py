@@ -1,9 +1,12 @@
 import itertools
+import math
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
+from combitop import sralg
 from combitop.simplicial import discrete_complex, full_simplex, polygon_boundary, simplex_boundary
 from combitop.sralg import (
     ONE,
@@ -63,6 +66,24 @@ def test_complex_mode_odd_degrees_empty():
     K = full_simplex(2)
     assert monomial_basis(K, GradingMode.COMPLEX, 3) == []
     assert len(monomial_basis(K, GradingMode.COMPLEX, 4)) == 3
+
+
+def test_basis_refused_past_the_bound_before_any_monomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("monomial_basis built a monomial")
+
+    monkeypatch.setattr(sralg, "Monomial", type("Refused", (), {"__new__": refuse}))
+    # the 12-simplex at real degree 16: C(27, 11) monomials
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^monomial basis too large: {math.comb(27, 11)}"
+                                         rf" monomials, more than 1048576$"):
+        monomial_basis(full_simplex(12), GradingMode.REAL, 16)
+    assert time.perf_counter() - start < 1
+    # a count past the interpreter's int-to-str digit limit is given by its size
+    degree = 10**2500 - 1
+    bits = math.comb(degree + 2, 2).bit_length()
+    with pytest.raises(ValueError, match=rf"^monomial basis too large: a {bits}-bit number of"):
+        monomial_basis(full_simplex(3), GradingMode.REAL, degree)
 
 
 def test_basis_counts_match_brute_force(test_complexes):
