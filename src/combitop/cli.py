@@ -210,7 +210,11 @@ def _cmd_word_reduce(K, args) -> dict:
 
     (w,) = _parse_words(K, args.group, args.word)
     blocks = graphprod.cartier_foata_blocks(w)
-    texts = [graphprod.format_letters(w.kind, block) for block in blocks]
+    try:  # a value past the interpreter's int-to-str digit limit fails to print
+        texts = [graphprod.format_letters(w.kind, block) for block in blocks]
+    except ValueError:
+        bits = max(max(abs(x.numerator), x.denominator).bit_length() for b in blocks for _, x in b)
+        raise CliError(f"letter too large to print: {bits} bits") from None
     return {"word": " ".join(texts) or "e", "length": sum(map(len, blocks)), "blocks": texts}
 
 

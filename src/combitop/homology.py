@@ -1,10 +1,10 @@
 """Exact homology of finite chain complexes over Z and Z/2.
 
-Integer Smith normal form is computed by gcd-pivot elimination with
-arbitrary-precision integers; pivots prefer +-1 entries, then smallest
-absolute value, to limit coefficient growth.  A matrix given by sparse
-columns has its +-1 pivots eliminated sparsely first, and only the residual
-goes to the dense Smith form.  Mod-2 ranks use one bitset xor elimination.
+A chain complex keeps one representation: the sparse boundary column of each
+cell, over one index of its cells.  Integer Smith normal form eliminates their
++-1 pivots sparsely, and only the residual goes to gcd-pivot elimination with
+arbitrary-precision integers, preferring +-1 pivots, then the least absolute
+value.  Mod-2 ranks use one bitset xor elimination.
 """
 
 from __future__ import annotations
@@ -190,31 +190,37 @@ class HomologyGroup(Value):
 
 
 class ChainComplex:
-    """Graded free Z-modules with integer boundary matrices.
+    """Graded free Z-modules whose boundaries are kept as sparse columns only.
 
-    ``boundaries[k-1]`` is the matrix of d_k: C_k -> C_{k-1}, with
-    ranks[k-1] rows and ranks[k] columns.  ``homology`` reduces their sparse
-    columns, on which d o d = 0 is checked eagerly: see ``check_square_zero``.
+    Column j of d_k: C_k -> C_{k-1} maps the rows of (k-1)-cells, in one index of
+    all cells, to the nonzero coefficients of k-cell j's boundary.  The constructor
+    takes each d_k as a ranks[k-1] x ranks[k] matrix; ``boundaries`` rebuilds them.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence[Matrix]):
-        self.ranks = tuple(ranks)
-        self.boundaries = [[list(row) for row in b] for b in boundaries]
-        if any(r < 0 for r in self.ranks):
-            raise ValueError("negative rank")
-        if len(self.boundaries) != max(len(self.ranks) - 1, 0):
+        if len(boundaries) != max(len(ranks) - 1, 0):
             raise ValueError("need one boundary matrix per positive dimension")
-        for k, b in enumerate(self.boundaries, start=1):
-            if len(b) != self.ranks[k - 1] or any(len(row) != self.ranks[k] for row in b):
+        for k, b in enumerate(boundaries, start=1):
+            if len(b) != ranks[k - 1] or any(len(row) != ranks[k] for row in b):
                 raise ValueError(f"boundary {k} has the wrong shape")
-        # sparse columns of each d_k, over one index of the cells of all degrees
+        start = [sum(ranks[:k]) for k in range(len(ranks))]
+        self._keep(ranks, [[{a + i: row[j] for i, row in enumerate(b) if row[j]} for j in range(n)]
+                           for b, a, n in zip(boundaries, start, ranks[1:])])
+
+    def _keep(self, ranks: Sequence[int], columns: list[list[Column]]) -> ChainComplex:
+        """Keep the ranks and each d_k's columns, k >= 1, if no rank is negative and d o d = 0."""
+        if any(r < 0 for r in ranks):
+            raise ValueError("negative rank")
+        check_square_zero([{}] * sum(ranks[:1]) + [c for cols in columns for c in cols])
+        self.ranks, self._columns = tuple(ranks), columns
+        return self
+
+    @property
+    def boundaries(self) -> list[Matrix]:
+        """Each d_k as a matrix, rebuilt from its columns on each read; ``homology`` reads none."""
         start = [sum(self.ranks[:k]) for k in range(len(self.ranks))]
-        self._columns = [
-            [{start[k - 1] + i: row[j] for i, row in enumerate(b) if row[j]}
-             for j in range(self.ranks[k])]
-            for k, b in enumerate(self.boundaries, start=1)
-        ]
-        check_square_zero([{}] * sum(self.ranks[:1]) + [c for cols in self._columns for c in cols])
+        return [[[col.get(r, 0) for col in cols] for r in range(a, b)]
+                for cols, a, b in zip(self._columns, start, start[1:])]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
@@ -233,8 +239,8 @@ class CubicalComplex:
     """A finite complex of abstract cells with a signed boundary map.
 
     ``cells_by_dim[k]`` lists the k-cells (any hashable objects) and
-    ``boundary(cell)`` returns [(coefficient, facet), ...].  The chain
-    complex over Z is materialized on demand.
+    ``boundary(cell)`` returns [(coefficient, facet), ...].  ``chain_complex``
+    sums each boundary into a sparse column on every call; nothing is cached.
     """
 
     def __init__(self, cells_by_dim: Sequence[Sequence[Hashable]],
@@ -243,7 +249,6 @@ class CubicalComplex:
         while self.cells_by_dim and not self.cells_by_dim[-1]:
             self.cells_by_dim.pop()
         self.boundary = boundary
-        self._chain: ChainComplex | None = None
 
     @property
     def dimension(self) -> int:
@@ -265,18 +270,18 @@ class CubicalComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.cell_counts()))
 
     def chain_complex(self) -> ChainComplex:
-        if self._chain is None:
-            ranks = self.cell_counts()
-            index = [{cell: i for i, cell in enumerate(cells)} for cells in self.cells_by_dim]
-            boundaries = []
-            for k in range(1, len(ranks)):
-                mat = [[0] * ranks[k] for _ in range(ranks[k - 1])]
-                for j, cell in enumerate(self.cells_by_dim[k]):
-                    for coef, facet in self.boundary(cell):
-                        mat[index[k - 1][facet]][j] += coef
-                boundaries.append(mat)
-            self._chain = ChainComplex(ranks, boundaries)
-        return self._chain
+        """Each cell's boundary summed into a sparse column; a facet listed twice adds up."""
+        ranks, columns = self.cell_counts(), []
+        for k in range(1, len(ranks)):
+            index = {c: i for i, c in enumerate(self.cells_by_dim[k - 1], sum(ranks[:k - 1]))}
+            columns.append([])
+            for cell in self.cells_by_dim[k]:
+                col: Column = {}
+                for coef, facet in self.boundary(cell):  # KeyError if not a (k-1)-cell
+                    col[index[facet]] = col.get(index[facet], 0) + coef
+                # rows ascending: the sparse Smith form pivots on the first +-1 entry it meets
+                columns[-1].append({i: col[i] for i in sorted(col) if col[i]})
+        return ChainComplex.__new__(ChainComplex)._keep(ranks, columns)
 
     def homology(self, mod2: bool = False) -> list[HomologyGroup]:
         return self.chain_complex().homology(mod2=mod2)

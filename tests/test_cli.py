@@ -954,6 +954,12 @@ GOLDEN_ERRORS = [
     (["info", "VERTICES_65"], 2, "error: vertex count must be in 0..64, got 65\n"),
     (["info", "VERTICES_TRUE"], 2, "error: vertex count True is not an integer\n"),
     (["info", "DIGITS_5000"], 2, "error: invalid JSON in DIGITS_5000: {int_limit}\n"),
+    # letters whose merged value passes the int-to-str digit limit: 1/(10^3001 + 7) +
+    # 1/(10^3001 + 9) has a denominator of about 6,000 digits, 2(10^4300 - 1) 4,301 digits
+    (["word-reduce", "--group", "circulation", "EDGE", f"t1@1/1{'0' * 3000}7 t1@1/1{'0' * 3000}9"],
+     2, "error: letter too large to print: 19939 bits\n"),
+    (["word-reduce", "--group", "artin", "EDGE", f"v1^{'9' * 4300} v1^{'9' * 4300}"], 2,
+     "error: letter too large to print: 14286 bits\n"),
 ]
 
 
@@ -971,7 +977,8 @@ def test_golden_output(golden_dir, capsys, argv, text, as_json):
 
 
 @pytest.mark.parametrize(
-    "argv, code, err", GOLDEN_ERRORS, ids=[" ".join(g[0]) for g in GOLDEN_ERRORS]
+    "argv, code, err", GOLDEN_ERRORS,
+    ids=[" ".join(a if len(a) < 40 else f"<{len(a)} chars>" for a in g[0]) for g in GOLDEN_ERRORS],
 )
 def test_golden_errors(golden_dir, capsys, argv, code, err):
     if "{int_limit}" in err:
