@@ -40,10 +40,6 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 # Hand-written instead of @dataclass(frozen=True): importing dataclasses (and
 # with it inspect) costs about 20 ms per CLI process.
 class Value:

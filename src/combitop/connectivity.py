@@ -59,8 +59,3 @@ def pair_connectivity(K: SimplicialComplex, L: SimplicialComplex):
     # L lies in flag(K), the clique complex of K's 1-skeleton, exactly when it adds no edge
     c = connectivity_report(K).c if L.adjacency_masks() == K.adjacency_masks() else 1
     return c, derived_degrees(c)
-
-
-def flag_equivalence(K: SimplicialComplex) -> bool:
-    """True when K is flag: the colimit group then models the based loops exactly."""
-    return K.is_flag()

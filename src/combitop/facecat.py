@@ -16,7 +16,7 @@ import math
 from operator import attrgetter
 from typing import Iterable
 
-from ._bits import Value, mask_of, popcount, setfield, submasks, vertices_of
+from ._bits import Value, mask_of, setfield, submasks, vertices_of
 from .homology import CubicalComplex
 from .simplicial import SimplicialComplex
 
@@ -34,9 +34,10 @@ class CubicalCell(Value):
 
     @property
     def dim(self) -> int:
-        return popcount(self.upper & ~self.lower)
+        return (self.upper & ~self.lower).bit_count()
 
     def free_vertices(self) -> tuple[int, ...]:
+        """The free coordinates: the cell's stabilizer under the sign flips of ``macomplex``."""
         return vertices_of(self.upper & ~self.lower)
 
     def lower_vertices(self) -> tuple[int, ...]:

@@ -56,9 +56,11 @@ class CommutationGraph(Value):
 
     @classmethod
     def from_edges(cls, m: int, edges: Iterable[tuple[int, int]]) -> "CommutationGraph":
+        edges = list(edges)
+        facet_masks(m, edges)  # int vertices in 1..m, as for the words on the graph
         adj = [0] * (m + 1)
         for i, j in edges:
-            if not (1 <= i <= m and 1 <= j <= m) or i == j:
+            if i == j:
                 raise ValueError(f"bad edge ({i}, {j})")
             adj[i] |= 1 << (j - 1)
             adj[j] |= 1 << (i - 1)
@@ -124,18 +126,10 @@ def word(kind: str, graph: CommutationGraph, letters: Iterable[Sequence]) -> Gro
     """Build a word, dropping identity letters and normalizing values."""
     if kind not in KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
-    out = []
-    for v, value in letters:
-        if not 1 <= v <= graph.m:
-            raise ValueError(f"vertex {v} out of range 1..{graph.m}")
-        norm = _normalize_value(kind, value)
-        if norm is not None:
-            out.append((v, norm))
-    return GroupWord(kind, graph, tuple(out))
-
-
-def identity(kind: str, graph: CommutationGraph) -> GroupWord:
-    return GroupWord(kind, graph, ())
+    letters = list(letters)
+    facet_masks(graph.m, [(v for v, _ in letters)])
+    normalized = [(v, _normalize_value(kind, value)) for v, value in letters]
+    return GroupWord(kind, graph, tuple(letter for letter in normalized if letter[1] is not None))
 
 
 def _check_ambient(w1: GroupWord, w2: GroupWord) -> None:
@@ -254,14 +248,18 @@ def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
         match = pattern.fullmatch(tok)
         if not match:
             raise ValueError(f"bad {kind} letter {tok!r} (expected {shape})")
-        if kind == "circulation":
-            p, q = int(match[2]), int(match[3])
-            if q == 0:
-                raise ValueError(f"zero denominator in circulation letter {tok!r}")
-            x = p % q and Fraction(p % q, q)  # one Fraction, in [0, 1)
-        else:
-            x = int(match[2]) if kind == "artin" else 1
-        letters.append((int(match[1]), x))
+        try:
+            if kind == "circulation":
+                p, q = int(match[2]), int(match[3])
+                x = p % q and Fraction(p % q, q)  # one Fraction, in [0, 1)
+            else:
+                x = int(match[2]) if kind == "artin" else 1
+            letters.append((int(match[1]), x))
+        except ZeroDivisionError:  # p % q with q = 0
+            raise ValueError(f"zero denominator in circulation letter {tok!r}") from None
+        except ValueError:  # int() refuses a number past the interpreter's int-to-str limit
+            digits = max(len(n.lstrip("-")) for n in match.groups())
+            raise ValueError(f"letter too large to read: {digits} digits") from None
     facet_masks(graph.m, [(v for v, _ in letters)])
     return GroupWord(kind, graph, tuple(letter for letter in letters if letter[1]))
 

@@ -14,7 +14,7 @@ of the faces of K.  The cubical model's own homology
 
 from __future__ import annotations
 
-from ._bits import popcount, submasks
+from ._bits import submasks
 from .facecat import CubicalCell, cube_complex
 from .homology import CubicalComplex, HomologyGroup, check_square_zero, homology_groups
 from .homology import sparse_smith_normal_form, xor_rank
@@ -58,16 +58,17 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
     indexed once by size, each with its boundary as a sparse column.  The
     augmented chains of K_W are the columns of the faces inside W, so one
     d o d check on K covers every K_W.  A cone K_W, such as a simplex, adds 0.
+    This is also the homology of the complement of the real coordinate arrangement.
     """
     _check_vertex_cap(K)
-    faces = sorted(K.face_masks, key=popcount)
+    faces = sorted(K.face_masks, key=int.bit_count)
     index = {f: i for i, f in enumerate(faces)}
     columns = [{index[g]: a for a, g in _simplex_boundary(f)} for f in faces]
     check_square_zero(columns)
     if mod2:
         columns = [sum(1 << i for i in col) for col in columns]
     ext = list(map(K.extension_masks().get, faces))
-    top = popcount(faces[-1])
+    top = faces[-1].bit_count()
     counts, diagonals = [0] * (top + 1), [[] for _ in range(top)]
     # W grows by vertices above its top one, and a new vertex v adds the
     # faces g | v for the faces g of K_W that it extends.  K_W is a cone
@@ -90,11 +91,6 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
                 grown.append(fs + added)
             stack.append((W | bit, grown, meet))
     return homology_groups(counts, diagonals)
-
-
-def stabilizer(cell: CubicalCell) -> tuple[int, ...]:
-    """Coordinates acting trivially on the cell: exactly its free vertex set."""
-    return cell.free_vertices()
 
 
 def act(cell: CubicalCell, generator: int) -> CubicalCell:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ._bits import Value, iter_vertices, mask_of, popcount, setfield, submasks, vertices_of
+from ._bits import Value, iter_vertices, mask_of, setfield, submasks, vertices_of
 
 MAX_VERTICES = 64
 
@@ -23,7 +23,7 @@ MAX_FACE_ESTIMATE = 1 << 20
 
 
 def _face_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    return (popcount(mask), vertices_of(mask))
+    return (mask.bit_count(), vertices_of(mask))
 
 
 def facet_masks(m: int, maximal: Iterable[Iterable[int]]) -> list[int]:
@@ -90,7 +90,7 @@ class SimplicialComplex(Value):
         """``from_maximal_faces`` on masks that ``facet_masks(m, ...)`` has already checked.
         ValueError, before any face is built, when they could span more than
         ``MAX_FACE_ESTIMATE`` faces: 1 + m + the sum of 2^|F| over the masks F."""
-        estimate = 1 + m + sum(1 << popcount(f) for f in masks)
+        estimate = 1 + m + sum(1 << f.bit_count() for f in masks)
         if estimate > MAX_FACE_ESTIMATE:
             raise ValueError(f"complex too large: its maximal faces span up to {estimate} faces,"
                              f" more than {MAX_FACE_ESTIMATE}")
@@ -110,6 +110,7 @@ class SimplicialComplex(Value):
         return f"SimplicialComplex(m={self.m}, {len(self.face_masks)} faces)"
 
     def has_face(self, vertices: Iterable[int]) -> bool:
+        """A point avoids the coordinate arrangement exactly when its zero set is a face."""
         return mask_of(vertices) in self.face_masks
 
     def faces(self) -> list[tuple[int, ...]]:
@@ -124,7 +125,7 @@ class SimplicialComplex(Value):
         """Face counts (f_0, ..., f_dim); the empty face is not counted."""
         counts = [0] * (self.m + 1)
         for f in self.face_masks:
-            counts[popcount(f)] += 1
+            counts[f.bit_count()] += 1
         while not counts[-1]:
             counts.pop()
         return tuple(counts[1:])
@@ -183,8 +184,9 @@ class SimplicialComplex(Value):
         return [vertices_of(f) for f in sorted(self.missing_face_masks(), key=_face_sort_key)]
 
     def is_flag(self) -> bool:
-        """True when every missing face is a pair of vertices."""
-        return all(popcount(w) == 2 for w in self.missing_face_masks())
+        """True when every missing face is a pair of vertices: then the colimit of the
+        circulation diagram models the loop space of DJ(K)."""
+        return all(w.bit_count() == 2 for w in self.missing_face_masks())
 
     def flagify(self) -> "SimplicialComplex":
         """The minimal flag complex containing this one: the clique complex of the 1-skeleton."""
@@ -208,7 +210,7 @@ class SimplicialComplex(Value):
         if j < 0:
             raise ValueError("skeleton dimension must be >= 0")
         return SimplicialComplex(
-            self.m, frozenset(f for f in self.face_masks if popcount(f) <= j + 1)
+            self.m, frozenset(f for f in self.face_masks if f.bit_count() <= j + 1)
         )
 
     def barycentric_subdivision(self) -> "SimplicialComplex":
@@ -240,12 +242,12 @@ def maximal_cliques(adj: Sequence[int]) -> list[int]:
     def extend(clique: int, cand: int, done: int) -> None:
         nonlocal estimate
         if not cand | done and clique:  # no vertex extends the clique
-            estimate += 1 << popcount(clique)
+            estimate += 1 << clique.bit_count()
             if estimate > MAX_FACE_ESTIMATE:
                 raise ValueError(f"flag complex too large: its maximal cliques found so far span"
                                  f" up to {estimate} faces, more than {MAX_FACE_ESTIMATE}")
             found.append(clique)
-        pivot = max(iter_vertices(cand | done), key=lambda u: popcount(cand & adj[u]), default=0)
+        pivot = max(iter_vertices(cand | done), key=lambda u: (cand & adj[u]).bit_count(), default=0)
         for v in iter_vertices(cand & ~adj[pivot]):
             extend(clique | 1 << (v - 1), cand & adj[v], done & adj[v])
             cand ^= 1 << (v - 1)

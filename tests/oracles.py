@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from combitop._bits import popcount, vertices_of
+from combitop._bits import vertices_of
+from combitop.homology import HomologyGroup
 from combitop.simplicial import SimplicialComplex
 
 
@@ -26,6 +27,12 @@ from combitop.simplicial import SimplicialComplex
 
 def face_sets(K: SimplicialComplex) -> set[frozenset[int]]:
     return {frozenset(f) for f in K.faces()}
+
+
+def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
+    """K * L on K's vertices, then L's shifted by K.m: each face of K united with each of L."""
+    faces = frozenset(f | g << K.m for f in K.face_masks for g in L.face_masks)
+    return SimplicialComplex(K.m + L.m, faces)
 
 
 def brute_extension_sets(K: SimplicialComplex) -> dict[frozenset[int], frozenset[int]]:
@@ -99,16 +106,16 @@ def brute_maximal_faces(K: SimplicialComplex) -> list[list[int]]:
 
 def brute_barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
     """Chains of faces, extending each chain by a scan over every face one size up."""
-    verts = sorted((f for f in K.face_masks if f), key=lambda f: (popcount(f), vertices_of(f)))
+    verts = sorted((f for f in K.face_masks if f), key=lambda f: (f.bit_count(), vertices_of(f)))
     index = {f: i + 1 for i, f in enumerate(verts)}
     by_size: dict[int, list[int]] = {}
     for f in verts:
-        by_size.setdefault(popcount(f), []).append(f)
+        by_size.setdefault(f.bit_count(), []).append(f)
     chains: list[list[int]] = []
 
     def grow(chain: list[int]) -> None:
         top = chain[-1]
-        exts = [g for g in by_size.get(popcount(top) + 1, []) if top & g == top]
+        exts = [g for g in by_size.get(top.bit_count() + 1, []) if top & g == top]
         if not exts:
             chains.append(list(chain))
         for g in exts:
@@ -198,7 +205,7 @@ def brute_monomial_basis(K: SimplicialComplex, mode: str, degree: int) -> list[t
     total = degree // step
     out = []
     for f in K.face_masks:
-        s = popcount(f)
+        s = f.bit_count()
         # an exterior monomial is squarefree: its one composition is all ones
         if s == 0 or s > total or (mode == "exterior" and s < total):
             continue
@@ -275,6 +282,42 @@ def dense_boundaries(X) -> list[list[list[int]]]:
                 mat[index[k - 1][facet]][j] += coef
         boundaries.append(mat)
     return boundaries
+
+
+def invariant_chain(orders) -> tuple[int, ...]:
+    """The invariant factors d_1 | d_2 | ... of the sum of the cyclic groups Z/n, n in
+    ``orders``: the k-th largest factor takes the k-th largest power of each prime."""
+    powers: dict[int, list[int]] = {}
+    for n in orders:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    chain = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            chain[k] *= q
+    return tuple(reversed(chain))
+
+
+def kunneth(A: list[HomologyGroup], B: list[HomologyGroup]) -> list[HomologyGroup]:
+    """H_*(X x Y) from H_*(X) and H_*(Y), over Z or, for groups without torsion, a field:
+    H_i(X) (x) H_j(Y) lands in degree i + j and Tor(H_i(X), H_j(Y)) in i + j + 1."""
+    betti = [0] * (len(A) + len(B))
+    cyclic: list[list[int]] = [[] for _ in betti]  # the orders of the summands Z/d
+    for (i, a), (j, b) in itertools.product(enumerate(A), enumerate(B)):
+        betti[i + j] += a.betti * b.betti
+        # Z (x) Z/d = Z/d, and Z/d (x) Z/e = Tor(Z/d, Z/e) = Z/gcd(d, e)
+        tor = [math.gcd(d, e) for d in a.torsion for e in b.torsion]
+        cyclic[i + j] += [*a.torsion] * b.betti + [*b.torsion] * a.betti + tor
+        cyclic[i + j + 1] += tor
+    # the top groups of a cell complex are free, so nothing lands past the top degree
+    assert not betti[-1] and not cyclic[-1]
+    return [HomologyGroup(n, invariant_chain(c)) for n, c in zip(betti[:-1], cyclic)]
 
 
 # -- word rewriting closure ------------------------------------------------

@@ -19,13 +19,8 @@ from combitop.graphprod import (
     word,
 )
 from combitop.homology import HomologyGroup
-from combitop.macomplex import (
-    moment_angle_homology,
-    orbit_counts,
-    real_moment_angle,
-    stabilizer,
-)
-from combitop.arrangement import arrangement, in_complement
+from combitop.macomplex import act, moment_angle_homology, orbit_counts, real_moment_angle
+from combitop.arrangement import arrangement
 from combitop.simplicial import (
     discrete_complex,
     full_simplex,
@@ -235,17 +230,26 @@ def test_criterion_10_face_category_model(test_complexes):
 
 
 def test_criterion_11_stabilizers_and_orbits(test_complexes):
-    with criterion(11, "cell stabilizers equal the free coordinates; orbits count faces"):
+    with criterion(11, "sign-flip stabilizers are the free coordinates; orbits count faces"):
         for K in test_complexes:
-            model = real_moment_angle(K)
-            for cell in model.all_cells():
-                assert stabilizer(cell) == cell.free_vertices()
-            counts = orbit_counts(K)
-            by_size: dict[int, int] = {}
-            for f in face_sets(K):
-                by_size[len(f)] = by_size.get(len(f), 0) + 1
-            assert counts == tuple(by_size.get(k, 0) for k in range(len(counts)))
-            assert sum(n * 2 ** (K.m - k) for k, n in enumerate(counts)) == model.cell_count()
+            flips = range(1, K.m + 1)
+            unseen = set(real_moment_angle(K).all_cells())
+            orbits = [0] * (K.dim + 2)
+            while unseen:
+                cell = unseen.pop()
+                stabilizer = tuple(v for v in flips if act(cell, v) == cell)
+                assert stabilizer == cell.free_vertices()
+                # the orbit: the closure of the cell under the flips
+                orbit, frontier = {cell}, [cell]
+                while frontier:
+                    source = frontier.pop()
+                    for image in {act(source, v) for v in flips} - orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+                assert len(orbit) == 2 ** (K.m - len(stabilizer))
+                unseen -= orbit
+                orbits[cell.dim] += 1
+            assert tuple(orbits) == orbit_counts(K)
 
 
 def test_criterion_12_arrangements():
@@ -260,6 +264,9 @@ def test_criterion_12_arrangements():
             assert A.generators == (tuple(range(1, m + 1)),)
         for K in random_complexes(8, 6, seed=1212) + [simplex_boundary(3)]:
             faces = face_sets(K)
+            # a point with zero set Z lies in the subspace of a generator G when G <= Z
+            gens = [frozenset(g) for g in arrangement(K, "R").generators]
             for r in range(K.m + 1):
                 for sub in itertools.combinations(range(1, K.m + 1), r):
-                    assert in_complement(K, sub) == (frozenset(sub) in faces)
+                    avoids = not any(g <= frozenset(sub) for g in gens)
+                    assert avoids == K.has_face(sub) == (frozenset(sub) in faces)

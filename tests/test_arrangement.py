@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from combitop.arrangement import Arrangement, arrangement, in_complement, real_complement_homology
+from combitop.arrangement import Arrangement, arrangement
 from combitop.homology import HomologyGroup
 from combitop.macomplex import moment_angle_homology
 from combitop.simplicial import discrete_complex, full_simplex, simplex_boundary
@@ -38,10 +38,11 @@ def test_field_codimensions():
 
 
 def test_in_complement_examples():
+    # a point avoids the arrangement exactly when its zero set is a face
     K = simplex_boundary(3)
-    assert in_complement(K, [])
-    assert in_complement(K, [1, 2])
-    assert not in_complement(K, [1, 2, 3])
+    assert K.has_face([])
+    assert K.has_face([1, 2])
+    assert not K.has_face([1, 2, 3])
 
 
 def test_in_complement_is_monotone(test_complexes):
@@ -50,9 +51,9 @@ def test_in_complement_is_monotone(test_complexes):
             continue
         for r in range(K.m + 1):
             for sub in itertools.combinations(range(1, K.m + 1), r):
-                if in_complement(K, sub):
+                if K.has_face(sub):
                     assert all(
-                        in_complement(K, rest)
+                        K.has_face(rest)
                         for rest in itertools.combinations(sub, max(r - 1, 0))
                     )
 
@@ -68,25 +69,18 @@ def test_generators_are_minimal_outside_points(test_complexes):
         minimal_outside = set()
         for r in range(1, K.m + 1):
             for sub in itertools.combinations(range(1, K.m + 1), r):
-                if not in_complement(K, sub) and all(
-                    in_complement(K, rest) for rest in itertools.combinations(sub, r - 1)
+                if not K.has_face(sub) and all(
+                    K.has_face(rest) for rest in itertools.combinations(sub, r - 1)
                 ):
                     minimal_outside.add(frozenset(sub))
         assert gens == minimal_outside
 
 
 def test_real_complement_homology_examples():
-    assert real_complement_homology(simplex_boundary(3)) == [Z, HomologyGroup(0), Z]
-    groups = real_complement_homology(full_simplex(3))
+    assert moment_angle_homology(simplex_boundary(3)) == [Z, HomologyGroup(0), Z]
+    groups = moment_angle_homology(full_simplex(3))
     assert groups[0] == Z and all(g.is_trivial() for g in groups[1:])
-    assert real_complement_homology(discrete_complex(2)) == [Z, Z]
-
-
-def test_real_complement_homology_routes_through_moment_angle(test_complexes):
-    for K in test_complexes:
-        if K.m > 6:
-            continue
-        assert real_complement_homology(K) == moment_angle_homology(K)
+    assert moment_angle_homology(discrete_complex(2)) == [Z, Z]
 
 
 def test_arrangement_is_dataclass_value():

@@ -960,6 +960,11 @@ GOLDEN_ERRORS = [
      2, "error: letter too large to print: 19939 bits\n"),
     (["word-reduce", "--group", "artin", "EDGE", f"v1^{'9' * 4300} v1^{'9' * 4300}"], 2,
      "error: letter too large to print: 14286 bits\n"),
+    # a number past the int-to-str digit limit in a letter, refused as it is read
+    (["word-reduce", "--group", "artin", "EDGE", f"v1^{'9' * 5000}"], 2,
+     "error: letter too large to read: 5000 digits\n"),
+    (["word-reduce", "--group", "circulation", "EDGE", f"t1@1/{'9' * 5000}"], 2,
+     "error: letter too large to read: 5000 digits\n"),
 ]
 
 
@@ -981,7 +986,7 @@ def test_golden_output(golden_dir, capsys, argv, text, as_json):
     ids=[" ".join(a if len(a) < 40 else f"<{len(a)} chars>" for a in g[0]) for g in GOLDEN_ERRORS],
 )
 def test_golden_errors(golden_dir, capsys, argv, code, err):
-    if "{int_limit}" in err:
+    if "{int_limit}" in err or "too large to read" in err:  # both need the digit limit
         err = err.format(int_limit=int_limit_text())
     assert run(capsys, argv) == (code, "", err)
     assert run(capsys, ["--json", *argv]) == (code, "", err)

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combitop._bits import popcount
 from combitop.connectivity import (
     connectivity_report,
     derived_degrees,
-    flag_equivalence,
     pair_connectivity,
 )
 from combitop.simplicial import (
@@ -31,7 +29,7 @@ def subcomplex_pairs(draw):
     L = draw(small_complexes().filter(lambda L: L.dim >= 2))
     if draw(st.booleans()):
         return L.skeleton(1), L
-    e = draw(st.sampled_from(sorted(f for f in L.face_masks if popcount(f) == 2)))
+    e = draw(st.sampled_from(sorted(f for f in L.face_masks if f.bit_count() == 2)))
     return SimplicialComplex(L.m, frozenset(f for f in L.face_masks if f & e != e)), L
 
 
@@ -131,9 +129,9 @@ def test_pair_dominates_prime_bound(test_complexes):
 
 def test_flag_equivalence():
     for m in range(4, 8):
-        assert flag_equivalence(polygon_boundary(m))
+        assert polygon_boundary(m).is_flag()
     for m in range(3, 6):
-        assert not flag_equivalence(simplex_boundary(m))
+        assert not simplex_boundary(m).is_flag()
     K = SimplicialComplex.from_maximal_faces(3, [[1, 2], [2, 3]])
-    assert flag_equivalence(K.barycentric_subdivision())
-    assert flag_equivalence(discrete_complex(4))
+    assert K.barycentric_subdivision().is_flag()
+    assert discrete_complex(4).is_flag()

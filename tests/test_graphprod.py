@@ -20,7 +20,6 @@ from combitop.graphprod import (
     cartier_foata_blocks,
     equal,
     format_word,
-    identity,
     in_commutator_subgroup,
     is_abelian_restriction,
     normal_form,
@@ -121,7 +120,7 @@ def test_reduce_idempotent_on_randoms(test_complexes):
 def test_equal_examples():
     edge = CommutationGraph.from_edges(2, [(1, 2)])
     w = word("coxeter", edge, [(1, 1), (2, 1), (1, 1), (2, 1)])
-    assert equal(w, identity("coxeter", edge))
+    assert equal(w, word("coxeter", edge, ()))
 
     g = square_graph()
     w1, w2 = awords(g, [(1, 1), (3, 1)], [(3, 1), (1, 1)])
@@ -140,7 +139,7 @@ def test_equal_requires_same_ambient():
 
 def test_wordlength():
     g = square_graph()
-    assert wordlength(identity("artin", g)) == 0
+    assert wordlength(word("artin", g, ())) == 0
     assert wordlength(word("artin", g, [(1, 2), (1, 3)])) == 1
     assert wordlength(word("artin", g, [(1, 1), (3, 1), (1, 1)])) == 3
 
@@ -402,7 +401,7 @@ def test_coxeter_letter_values_reduce_mod_2():
     g = square_graph()
     for value in (0, 2, -4, Fraction(2)):
         w = word("coxeter", g, [(1, value)])
-        assert w == identity("coxeter", g) and abelianize(w) == (0, 0, 0, 0)
+        assert w == word("coxeter", g, ()) and abelianize(w) == (0, 0, 0, 0)
     for value in (1, 3, -1, Fraction(5)):
         w = word("coxeter", g, [(1, value)])
         assert w.letters == ((1, 1),) and abelianize(w) == (1, 0, 0, 0)
@@ -473,10 +472,21 @@ def test_vertex_range_errors_name_the_first_bad_vertex():
         lambda: is_abelian_restriction(K, iter([2, 7, 0])),
         lambda: square_graph().complete_on([2, 7, 0]),
         lambda: parse_word("artin", square_graph(), "v2^1 v7^1 v0^1"),
+        lambda: word("artin", square_graph(), [(2, 1), (7, 1), (0, 1)]),
+        lambda: CommutationGraph.from_edges(4, [(1, 2), (2, 7), (0, 1)]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"^vertex 7 out of range 1\.\.4$"):
             call()
+    # a vertex that is not an int is refused by name, a bool included
+    for bad in (True, 1.0):
+        calls = [
+            lambda: word("artin", square_graph(), [(bad, 1)]),
+            lambda: CommutationGraph.from_edges(2, [(bad, 2)]),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=rf"^vertex {bad} is not an integer$"):
+                call()
 
 
 def test_graphs_and_their_words_stop_at_64_vertices():
@@ -599,7 +609,7 @@ def test_parse_and_format_round_trip():
     assert format_word(circ) == "t2@1/4"
 
     assert parse_word("artin", g, "").letters == ()
-    assert format_word(identity("artin", g)) == "e"
+    assert format_word(word("artin", g, ())) == "e"
     assert parse_word("artin", g, "e").letters == ()
 
 
@@ -662,4 +672,4 @@ def test_inverse_and_product():
     for kind in ("coxeter", "artin", "circulation"):
         for _ in range(10):
             w = word(kind, g, random_word(kind, 4, rng.randint(0, 6), rng))
-            assert equal(w * w.inverse(), identity(kind, g))
+            assert equal(w * w.inverse(), word(kind, g, ()))

@@ -8,13 +8,7 @@ from combitop import homology, macomplex
 from combitop.connectivity import connectivity_report
 from combitop.facecat import CubicalCell, cubical_model
 from combitop.homology import HomologyGroup
-from combitop.macomplex import (
-    act,
-    moment_angle_homology,
-    orbit_counts,
-    real_moment_angle,
-    stabilizer,
-)
+from combitop.macomplex import act, moment_angle_homology, orbit_counts, real_moment_angle
 from combitop.simplicial import (
     SimplicialComplex,
     discrete_complex,
@@ -23,7 +17,7 @@ from combitop.simplicial import (
     simplex_boundary,
 )
 
-from oracles import random_complex, small_complexes
+from oracles import join, kunneth, random_complex, small_complexes
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)
@@ -91,20 +85,19 @@ def test_vertex_cap():
 def test_stabilizer_is_free_coordinate_set():
     K = simplex_boundary(3)
     for cell in real_moment_angle(K).all_cells():
-        assert stabilizer(cell) == cell.free_vertices()
         for v in range(1, K.m + 1):
-            assert (act(cell, v) == cell) == (v in stabilizer(cell))
+            assert (act(cell, v) == cell) == (v in cell.free_vertices())
 
 
 def test_stabilizer_examples():
     # the vertex (-1, +1, -1) of [-1,1]^3: coordinate 2 sits at +1
     cell = CubicalCell(0b010, 0b010)
-    assert stabilizer(cell) == ()
+    assert cell.free_vertices() == ()
     top = CubicalCell(0, 0b111)
-    assert stabilizer(top) == (1, 2, 3)
+    assert top.free_vertices() == (1, 2, 3)
     # free in 1 and 2, coordinate 3 at -1
     edge = CubicalCell(0, 0b011)
-    assert stabilizer(edge) == (1, 2)
+    assert edge.free_vertices() == (1, 2)
 
 
 def test_orbit_counts():
@@ -130,7 +123,7 @@ def test_action_permutes_cells_respecting_boundary(test_complexes):
                 got = {c for _, c in image.boundary()}
                 expected = {act(c, v) for _, c in cell.boundary()}
                 assert got == expected
-                if v not in stabilizer(cell):
+                if v not in cell.free_vertices():
                     # moving a fixed coordinate keeps all signs intact
                     signed = {(s, act(c, v)) for s, c in cell.boundary()}
                     assert set(image.boundary()) == signed
@@ -164,6 +157,9 @@ RP2 = SimplicialComplex.from_maximal_faces(
         [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6],
     ],
 )
+#: R_K of RP^2 over Z and over GF(2)
+RP2_GROUPS = {False: [Z, ZERO, HomologyGroup(31, (2,)), ZERO],
+              True: [HomologyGroup(b) for b in (1, 0, 32, 1)]}
 
 
 def test_projective_plane_model_has_torsion():
@@ -172,9 +168,8 @@ def test_projective_plane_model_has_torsion():
     # mod-2 ranks, and the connectivity bound
     model = real_moment_angle(RP2)
     assert model.euler_characteristic() == 32
-    groups = moment_angle_homology(RP2)
-    assert groups == [Z, ZERO, HomologyGroup(31, (2,)), ZERO]
-    assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] == [1, 0, 32, 1]
+    for mod2 in (False, True):
+        assert moment_angle_homology(RP2, mod2) == RP2_GROUPS[mod2]
 
 
 # RP^2 and a disjoint vertex: the torsion sits in a proper full subcomplex
@@ -253,18 +248,42 @@ def test_polygon_is_a_surface_of_its_genus(m):
         assert moment_angle_homology(polygon_boundary(m), mod2) == polygon_groups(m)
 
 
+# R_K of a join is the product R_K x R_L.  Each factor's groups are known without the
+# reducer under test: RP^2's are pinned, and the m-gon's are free, in closed form.
+JOINS = {"rp2*pentagon": ("rp2", 5), "rp2*rp2": ("rp2", "rp2"), "hexagon*heptagon": (6, 7)}
+
+
+def join_and_kunneth(name: str, mod2: bool):
+    """The join and its groups by Kunneth, from factors named "rp2" or by a polygon's m."""
+    (K, A), (L, B) = (
+        (RP2, RP2_GROUPS[mod2]) if f == "rp2" else (polygon_boundary(f), polygon_groups(f))
+        for f in JOINS[name]
+    )
+    return join(K, L), kunneth(A, B)
+
+
+@pytest.mark.parametrize("mod2", [False, True], ids=["Z", "GF2"])
+@pytest.mark.parametrize("name", JOINS)
+def test_join_is_the_kunneth_product(name, mod2):
+    J, groups = join_and_kunneth(name, mod2)
+    assert moment_angle_homology(J, mod2) == groups
+
+
 def test_identities_fail_on_mutated_reducers(monkeypatch):
     snf, rank, groups = (macomplex.sparse_smith_normal_form, macomplex.xor_rank,
                          macomplex.homology_groups)
     with monkeypatch.context() as patch:
-        # a torsion factor dropped, every rank kept: universal coefficients see it
+        # a torsion factor dropped, every rank kept: universal coefficients see it, and
+        # so does Kunneth on a join
         patch.setattr(macomplex, "sparse_smith_normal_form", lambda cols: [1] * len(snf(cols)))
         Z = moment_angle_homology(RP2)
         assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] != (
             universal_coefficient_ranks(Z))
+        J, product = join_and_kunneth("rp2*pentagon", False)
+        assert moment_angle_homology(J) != product
     with monkeypatch.context() as patch:
         # a pivot dropped in either ring: the polygon's closed form sees it, and
-        # universal coefficients see it over Z
+        # universal coefficients and Kunneth on a join see it over Z
         patch.setattr(macomplex, "sparse_smith_normal_form", lambda cols: snf(cols)[:-1])
         patch.setattr(macomplex, "xor_rank", lambda cols: max(rank(cols) - 1, 0))
         for mod2 in (False, True):
@@ -273,6 +292,7 @@ def test_identities_fail_on_mutated_reducers(monkeypatch):
         Z = moment_angle_homology(RP2)
         assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] != (
             universal_coefficient_ranks(Z))
+        assert moment_angle_homology(J) != product
     with monkeypatch.context() as patch:
         # a chain group one cell larger: the Euler identity sees it, which no change
         # to a Smith diagonal can break, as each rank enters two Betti numbers of
