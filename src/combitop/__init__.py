@@ -25,10 +25,10 @@ _HOME = {
     for module, names in {
         "arrangement": "Arrangement arrangement",
         "connectivity": "ConnectivityReport connectivity_report pair_connectivity",
-        "facecat": "CubicalCell chain_count cubical_model face_subcomplex object_count",
+        "facecat": "CubicalCell CubicalComplex chain_count cubical_model face_subcomplex object_count",
         "graphprod": "CommutationGraph GroupWord abelianize cartier_foata_blocks equal"
         " in_commutator_subgroup is_abelian_restriction normal_form word wordlength",
-        "homology": "ChainComplex CubicalComplex HomologyGroup smith_normal_form",
+        "homology": "ChainComplex HomologyGroup smith_normal_form",
         "macomplex": "moment_angle_homology orbit_counts real_moment_angle",
         "simplicial": "SimplicialComplex discrete_complex full_simplex polygon_boundary"
         " simplex_boundary",

@@ -439,7 +439,10 @@ def _print_chunks(chunks, sep: str) -> int:
             # failed flush ("Exception ignored", exit code 120) as for a short output
             out.write("\n")
         except OSError:  # unbuffered, as under PYTHONUNBUFFERED
-            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+            try:
+                print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+            except OSError:  # stderr shares the closed pipe: the exit code says it
+                pass
         return 120
     return 0
 

@@ -7,7 +7,8 @@ minus ``lower`` are free, those in ``lower`` sit at 1 and the rest at 0.
 The classifying space is (I, 0)^K, the cubes whose ``upper`` is a face or
 empty, so its cells are the pairs sigma <= tau of faces.  The real
 moment-angle complex (``macomplex``) is (D^1, S^0)^K, the cubes whose free
-set is a face.
+set is a face.  ``CubicalComplex`` holds either set of cubes, bucketed by
+dimension; ``homology.ChainComplex.from_cells`` makes its chains.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import math
 from operator import attrgetter
 from typing import Iterable
 
-from ._bits import Value, mask_of, setfield, submasks, vertices_of
-from .homology import CubicalComplex
-from .simplicial import SimplicialComplex
+from ._bits import Value, setfield, submasks, vertices_of
+from .homology import ChainComplex
+from .simplicial import SimplicialComplex, facet_masks
 
 
 class CubicalCell(Value):
@@ -40,12 +41,6 @@ class CubicalCell(Value):
         """The free coordinates: the cell's stabilizer under the sign flips of ``macomplex``."""
         return vertices_of(self.upper & ~self.lower)
 
-    def lower_vertices(self) -> tuple[int, ...]:
-        return vertices_of(self.lower)
-
-    def upper_vertices(self) -> tuple[int, ...]:
-        return vertices_of(self.upper)
-
     def boundary(self) -> list[tuple[int, CubicalCell]]:
         """Signed facets: each free coordinate fixed at 1 (+) and at 0 (-), signs alternating."""
         lower, upper = self.lower, self.upper
@@ -61,17 +56,35 @@ class CubicalCell(Value):
         return terms
 
     def __repr__(self) -> str:
-        return f"CubicalCell({set(self.lower_vertices()) or '{}'} <= {set(self.upper_vertices()) or '{}'})"
+        lower, upper = (set(vertices_of(m)) or "{}" for m in (self.lower, self.upper))
+        return f"CubicalCell({lower} <= {upper})"
 
 
-def cube_complex(cells: Iterable[CubicalCell]) -> CubicalComplex:
-    """The cubes as a cell complex: bucketed by dimension, each bucket sorted."""
-    by_dim: dict[int, list[CubicalCell]] = {}
-    for cell in cells:
-        by_dim.setdefault(cell.dim, []).append(cell)
-    key = attrgetter("upper", "lower")
-    cells_by_dim = [sorted(by_dim.get(k, []), key=key) for k in range(max(by_dim) + 1)]
-    return CubicalComplex(cells_by_dim, CubicalCell.boundary)
+class CubicalComplex:
+    """Cubes as a cell complex: ``cells_by_dim[k]`` holds the k-cubes sorted by (upper, lower)."""
+
+    def __init__(self, cells: Iterable[CubicalCell]) -> None:
+        by_dim: dict[int, list[CubicalCell]] = {}
+        for cell in cells:
+            by_dim.setdefault(cell.dim, []).append(cell)
+        key, top = attrgetter("upper", "lower"), max(by_dim, default=-1)
+        self.cells_by_dim = [sorted(by_dim.get(k, []), key=key) for k in range(top + 1)]
+
+    def all_cells(self) -> list[CubicalCell]:
+        return [c for cells in self.cells_by_dim for c in cells]
+
+    def cell_counts(self) -> tuple[int, ...]:
+        return tuple(map(len, self.cells_by_dim))
+
+    def cell_count(self) -> int:
+        return sum(self.cell_counts())
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** k * n for k, n in enumerate(self.cell_counts()))
+
+    def chain_complex(self) -> ChainComplex:
+        """Each cube's boundary summed into a sparse column, on every call: nothing is cached."""
+        return ChainComplex.from_cells(self.cells_by_dim, CubicalCell.boundary)
 
 
 def object_count(K: SimplicialComplex) -> int:
@@ -93,18 +106,13 @@ def chain_count(K: SimplicialComplex, n: int) -> int:
 
 def cubical_model(K: SimplicialComplex) -> CubicalComplex:
     """All cells (sigma, tau) with sigma <= tau in K union {empty}."""
-    return cube_complex(CubicalCell(sigma, tau) for tau in K.face_masks for sigma in submasks(tau))
+    return CubicalComplex(CubicalCell(sigma, tau) for tau in K.face_masks for sigma in submasks(tau))
 
 
 def face_subcomplex(K: SimplicialComplex, sigma) -> set[CubicalCell]:
     """Cells of the cone over the faces containing sigma: pairs sigma <= rho <= tau."""
-    smask = mask_of(sigma)
+    (smask,) = facet_masks(K.m, [sigma])
     if smask not in K.face_masks:
-        raise ValueError(f"{tuple(sigma)} is not a face")
-    out = set()
-    for tau in K.face_masks:
-        if smask & tau == smask:
-            free = tau & ~smask
-            for extra in submasks(free):
-                out.add(CubicalCell(smask | extra, tau))
-    return out
+        raise ValueError(f"{vertices_of(smask)} is not a face")
+    return {CubicalCell(smask | extra, tau)
+            for tau in K.face_masks if not smask & ~tau for extra in submasks(tau & ~smask)}

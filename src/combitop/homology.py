@@ -1,10 +1,10 @@
-"""Exact homology of finite chain complexes over Z and Z/2.
+"""Exact homology of finite chain complexes over Z and Z/2; the cells live elsewhere.
 
 A chain complex keeps one representation: the sparse boundary column of each
-cell, over one index of its cells.  Integer Smith normal form eliminates their
-+-1 pivots sparsely, and only the residual goes to gcd-pivot elimination with
-arbitrary-precision integers, preferring +-1 pivots, then the least absolute
-value.  Mod-2 ranks use one bitset xor elimination.
+cell, over one index of its cells (``ChainComplex.from_cells``).  Integer Smith
+normal form eliminates their +-1 pivots sparsely, and only the residual goes to
+gcd-pivot elimination with arbitrary-precision integers, preferring +-1 pivots,
+then the least absolute value.  Mod-2 ranks use one bitset xor elimination.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ class HomologyGroup(Value):
 class ChainComplex:
     """Graded free Z-modules whose boundaries are kept as sparse columns only.
 
-    Column j of d_k: C_k -> C_{k-1} maps the rows of (k-1)-cells, in one index of
-    all cells, to the nonzero coefficients of k-cell j's boundary.  The constructor
-    takes each d_k as a ranks[k-1] x ranks[k] matrix; ``boundaries`` rebuilds them.
+    Column j of d_k: C_k -> C_{k-1} maps the rows of (k-1)-cells, in one index of all
+    cells, to the nonzero coefficients of k-cell j's boundary.  The constructor takes each
+    d_k as a ranks[k-1] x ranks[k] matrix, ``from_cells`` each cell's signed boundary.
     """
 
     def __init__(self, ranks: Sequence[int], boundaries: Sequence[Matrix]):
@@ -206,6 +206,23 @@ class ChainComplex:
         start = [sum(ranks[:k]) for k in range(len(ranks))]
         self._keep(ranks, [[{a + i: row[j] for i, row in enumerate(b) if row[j]} for j in range(n)]
                            for b, a, n in zip(boundaries, start, ranks[1:])])
+
+    @classmethod
+    def from_cells(cls, cells_by_dim: Sequence[Sequence[Hashable]],
+                   boundary: Callable[[Hashable], Iterable[tuple[int, Hashable]]]) -> ChainComplex:
+        """Chains on the k-cells ``cells_by_dim[k]``: the (coefficient, facet) pairs of
+        ``boundary(cell)`` summed into its column; KeyError for a facet not a (k-1)-cell."""
+        ranks, columns = [len(cells) for cells in cells_by_dim], []
+        for k in range(1, len(ranks)):
+            index = {c: i for i, c in enumerate(cells_by_dim[k - 1], sum(ranks[:k - 1]))}
+            columns.append([])
+            for cell in cells_by_dim[k]:
+                col: Column = {}
+                for coef, facet in boundary(cell):  # KeyError if not a (k-1)-cell
+                    col[index[facet]] = col.get(index[facet], 0) + coef
+                # rows ascending: the sparse Smith form pivots on the first +-1 entry it meets
+                columns[-1].append({i: col[i] for i in sorted(col) if col[i]})
+        return cls.__new__(cls)._keep(ranks, columns)
 
     def _keep(self, ranks: Sequence[int], columns: list[list[Column]]) -> ChainComplex:
         """Keep the ranks and each d_k's columns, k >= 1, if no rank is negative and d o d = 0."""
@@ -234,54 +251,3 @@ class ChainComplex:
             ])
         return homology_groups(self.ranks, list(map(sparse_smith_normal_form, self._columns)))
 
-
-class CubicalComplex:
-    """A finite complex of abstract cells with a signed boundary map.
-
-    ``cells_by_dim[k]`` lists the k-cells (any hashable objects) and
-    ``boundary(cell)`` returns [(coefficient, facet), ...].  ``chain_complex``
-    sums each boundary into a sparse column on every call; nothing is cached.
-    """
-
-    def __init__(self, cells_by_dim: Sequence[Sequence[Hashable]],
-                 boundary: Callable[[Hashable], list[tuple[int, Hashable]]]):
-        self.cells_by_dim = [list(cells) for cells in cells_by_dim]
-        while self.cells_by_dim and not self.cells_by_dim[-1]:
-            self.cells_by_dim.pop()
-        self.boundary = boundary
-
-    @property
-    def dimension(self) -> int:
-        return len(self.cells_by_dim) - 1
-
-    def cells(self, k: int) -> list[Hashable]:
-        return list(self.cells_by_dim[k]) if 0 <= k <= self.dimension else []
-
-    def all_cells(self) -> list[Hashable]:
-        return [c for cells in self.cells_by_dim for c in cells]
-
-    def cell_counts(self) -> tuple[int, ...]:
-        return tuple(len(cells) for cells in self.cells_by_dim)
-
-    def cell_count(self) -> int:
-        return sum(self.cell_counts())
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * n for k, n in enumerate(self.cell_counts()))
-
-    def chain_complex(self) -> ChainComplex:
-        """Each cell's boundary summed into a sparse column; a facet listed twice adds up."""
-        ranks, columns = self.cell_counts(), []
-        for k in range(1, len(ranks)):
-            index = {c: i for i, c in enumerate(self.cells_by_dim[k - 1], sum(ranks[:k - 1]))}
-            columns.append([])
-            for cell in self.cells_by_dim[k]:
-                col: Column = {}
-                for coef, facet in self.boundary(cell):  # KeyError if not a (k-1)-cell
-                    col[index[facet]] = col.get(index[facet], 0) + coef
-                # rows ascending: the sparse Smith form pivots on the first +-1 entry it meets
-                columns[-1].append({i: col[i] for i in sorted(col) if col[i]})
-        return ChainComplex.__new__(ChainComplex)._keep(ranks, columns)
-
-    def homology(self, mod2: bool = False) -> list[HomologyGroup]:
-        return self.chain_complex().homology(mod2=mod2)

@@ -8,15 +8,15 @@ coordinate i fixes a cell exactly when i is free.
 
 Homology comes from the real stable splitting, H_i = sum over W of
 H~_{i-1}(K_W), torsion included, reduced as sparse columns over one index
-of the faces of K.  The cubical model's own homology
-(``real_moment_angle(K).homology()``) is kept as the independent check.
+of the faces of K.  The cubical model's own chains
+(``real_moment_angle(K).chain_complex()``) are kept as the independent check.
 """
 
 from __future__ import annotations
 
 from ._bits import submasks
-from .facecat import CubicalCell, cube_complex
-from .homology import CubicalComplex, HomologyGroup, check_square_zero, homology_groups
+from .facecat import CubicalCell, CubicalComplex
+from .homology import HomologyGroup, check_square_zero, homology_groups
 from .homology import sparse_smith_normal_form, xor_rank
 from .simplicial import SimplicialComplex
 
@@ -32,7 +32,7 @@ def real_moment_angle(K: SimplicialComplex) -> CubicalComplex:
     """The cubes plus <= plus | J for J a face of K and plus the +1 coordinates outside J."""
     _check_vertex_cap(K)
     full = (1 << K.m) - 1
-    return cube_complex(
+    return CubicalComplex(
         CubicalCell(plus, plus | J) for J in K.face_masks for plus in submasks(full & ~J)
     )
 

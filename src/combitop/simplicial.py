@@ -111,7 +111,8 @@ class SimplicialComplex(Value):
 
     def has_face(self, vertices: Iterable[int]) -> bool:
         """A point avoids the coordinate arrangement exactly when its zero set is a face."""
-        return mask_of(vertices) in self.face_masks
+        (mask,) = facet_masks(self.m, [vertices])
+        return mask in self.face_masks
 
     def faces(self) -> list[tuple[int, ...]]:
         """All faces (including the empty one) as sorted vertex tuples."""

@@ -271,14 +271,14 @@ def snf_by_determinant_divisors(mat: list[list[int]]) -> list[int]:
 
 def dense_boundaries(X) -> list[list[list[int]]]:
     """The matrix of each d_k of a ``CubicalComplex``, zero-filled and summed entry by
-    entry from ``X.boundary``: the dense assembly that its sparse columns replaced."""
+    entry from each ``cell.boundary()``: the dense assembly that its sparse columns replaced."""
     ranks = X.cell_counts()
     index = [{cell: i for i, cell in enumerate(cells)} for cells in X.cells_by_dim]
     boundaries = []
     for k in range(1, len(ranks)):
         mat = [[0] * ranks[k] for _ in range(ranks[k - 1])]
         for j, cell in enumerate(X.cells_by_dim[k]):
-            for coef, facet in X.boundary(cell):
+            for coef, facet in cell.boundary():
                 mat[index[k - 1][facet]][j] += coef
         boundaries.append(mat)
     return boundaries

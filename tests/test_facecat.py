@@ -99,7 +99,7 @@ def test_cell_count_formula(test_complexes):
 
 def test_cubical_model_has_point_homology(test_complexes):
     for K in test_complexes:
-        groups = cubical_model(K).homology()
+        groups = cubical_model(K).chain_complex().homology()
         assert groups[0] == HomologyGroup(1)
         assert all(g.is_trivial() for g in groups[1:])
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combitop import cli
+from combitop.facecat import face_subcomplex
 from combitop.graphprod import (
     KINDS,
     CommutationGraph,
@@ -474,15 +475,24 @@ def test_vertex_range_errors_name_the_first_bad_vertex():
         lambda: parse_word("artin", square_graph(), "v2^1 v7^1 v0^1"),
         lambda: word("artin", square_graph(), [(2, 1), (7, 1), (0, 1)]),
         lambda: CommutationGraph.from_edges(4, [(1, 2), (2, 7), (0, 1)]),
+        lambda: K.has_face([2, 7, 0]),
+        lambda: face_subcomplex(K, iter([2, 7, 0])),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"^vertex 7 out of range 1\.\.4$"):
             call()
+    # a vertex below 1 or above m is no face to test: not a shift error, not False
+    for bad in (0, 9):
+        for call in (K.has_face, lambda vertices: face_subcomplex(K, vertices)):
+            with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 1\.\.4$"):
+                call([bad])
     # a vertex that is not an int is refused by name, a bool included
     for bad in (True, 1.0):
         calls = [
             lambda: word("artin", square_graph(), [(bad, 1)]),
             lambda: CommutationGraph.from_edges(2, [(bad, 2)]),
+            lambda: K.has_face([bad]),
+            lambda: face_subcomplex(K, [bad, 2]),
         ]
         for call in calls:
             with pytest.raises(TypeError, match=rf"^vertex {bad} is not an integer$"):

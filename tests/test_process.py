@@ -95,11 +95,14 @@ def test_process_matches_main(in_docs, argv, as_json):
             assert (proc.returncode, out, err) == want, (sink, proc.args)
 
 
-def read_5_bytes_then_close(argv, head=b"v1^26") -> tuple[int, bytes]:
+def read_5_bytes_then_close(argv, head=b"v1^26", buffered=True, shared=False) -> tuple[int, bytes]:
+    """The exit code and stderr of a process whose stdout reader leaves after 5 bytes;
+    ``shared`` puts stderr on the same pipe, so that the error is None."""
     r, w = os.pipe()
     fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 16)
     with os.fdopen(r, "rb", buffering=0) as reader:
-        proc = subprocess.Popen(argv, env=env(buffered=True), stdout=w, stderr=subprocess.PIPE)
+        proc = subprocess.Popen(argv, env=env(buffered), stdout=w,
+                                stderr=w if shared else subprocess.PIPE)
         os.close(w)
         assert reader.read(5) == head
     _, err = proc.communicate(timeout=60)
@@ -134,6 +137,14 @@ def test_broken_pipe_mid_output_ends_as_a_short_one(in_docs, as_json):
     assert read_5_bytes_then_close(cli_argv(*args), head) == short
     plain = "import sys; from combitop.cli import main; sys.exit(main())"
     assert read_5_bytes_then_close([sys.executable, "-c", plain, *args], head) == short
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_broken_pipe_shared_with_stderr(in_docs, buffered):
+    # as under `2>&1 | head -c 5`: the report of the failed write fails as well, and
+    # the exit code, 120, says it all; an uncaught BrokenPipeError would exit 1
+    args = ["--json", "sr-basis", "--mode", "real", "--degree", "11", "SIMPLEX6"]
+    assert read_5_bytes_then_close(cli_argv(*args), b"[\n  [", buffered, shared=True) == (120, None)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -18,7 +18,7 @@ from combitop.sralg import (
     multiply,
 )
 
-from oracles import brute_monomial_basis, brute_monomial_count, small_complexes
+from oracles import brute_monomial_basis, brute_monomial_count, join, small_complexes
 
 MODES = list(GradingMode)
 
@@ -307,3 +307,19 @@ def test_restriction_compatibility(test_complexes):
                     if set(m.support) <= set(W)
                 }
                 assert sub == set(monomial_basis(R, mode, d))
+
+
+@settings(max_examples=100)
+@given(small_complexes(max_m=4), small_complexes(max_m=4))
+def test_join_rule_for_series_and_missing_faces(K, L):
+    # the face ring of K * L is the tensor product of the factors' rings, so each
+    # Hilbert series is the product; a missing face of the join lies in one factor
+    J = join(K, L)
+    for mode in MODES:
+        a, b, ab = (hilbert_series(X, mode) for X in (K, L, J))
+        for d in range(11):
+            assert ab.coefficient(d) == sum(a.coefficient(i) * b.coefficient(d - i)
+                                            for i in range(d + 1))
+    assert J.missing_face_masks() == K.missing_face_masks() | {
+        w << K.m for w in L.missing_face_masks()}
+    assert J.is_flag() == (K.is_flag() and L.is_flag())
