@@ -33,7 +33,7 @@ from .arrangement import arrangement as build_arrangement
 from .simplicial import SimplicialComplex, facet_masks
 
 # Each subcommand imports the library modules it runs, so a process loads
-# only those: graphprod and fractions, say, stay out of every other command.
+# only those: graphprod and sralg, say, stay out of every other command.
 
 DESCRIPTION = "Combinatorial, algebraic, and homological invariants of simplicial complexes."
 USAGE = "[-h] [--json] COMMAND ..."
@@ -213,7 +213,9 @@ def _cmd_word_reduce(K, args) -> dict:
     try:  # a value past the interpreter's int-to-str digit limit fails to print
         texts = [graphprod.format_letters(w.kind, block) for block in blocks]
     except ValueError:
-        bits = max(max(abs(x.numerator), x.denominator).bit_length() for b in blocks for _, x in b)
+        # a circulation value is a pair (p, q) with 0 < p < q: q has the most bits
+        circle = w.kind == "circulation"
+        bits = max(abs(x[1] if circle else x).bit_length() for b in blocks for _, x in b)
         raise CliError(f"letter too large to print: {bits} bits") from None
     return {"word": " ".join(texts) or "e", "length": sum(map(len, blocks)), "blocks": texts}
 

@@ -4,8 +4,8 @@ Three kinds are supported, differing only in the vertex group:
 
 * ``coxeter``     - order-two vertex groups (right-angled Coxeter);
 * ``artin``       - infinite cyclic vertex groups (right-angled Artin);
-* ``circulation`` - rational rotation angles in [0,1), an exact slice of
-  the circle group.
+* ``circulation`` - rational rotation angles p/q in [0,1), an exact slice of
+  the circle group, as int pairs (p, q) in lowest terms with 0 < p < q.
 
 Words are sequences of (vertex, value) letters; letters at vertices joined
 by an edge commute.  ``normal_form`` reduces a word in one left-to-right
@@ -18,6 +18,7 @@ the group exactly when w1 * w2^-1 reduces to the empty word.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, Sequence
 
@@ -76,27 +77,39 @@ class CommutationGraph(Value):
         return all(mask & ~self.adjacency[v] == 1 << (v - 1) for v in iter_vertices(mask))
 
 
-#: Each kind's vertex group as Z/n: Z/2, Z (no modulus) and Q/Z.
-_MODULUS = {"coxeter": 2, "artin": None, "circulation": 1}
+def _circle(p: int, q: int) -> tuple[int, int] | None:
+    """p/q mod 1 (q > 0) as the pair (p, q) in lowest terms with 0 < p < q, or None for 0."""
+    p %= q
+    g = math.gcd(p, q)
+    return (p // g, q // g) if p else None
 
 
-def _reduce(kind: str, x) -> object | None:
-    """x as an element of the kind's vertex group, or None for the identity."""
-    n = _MODULUS[kind]
-    if n is not None:
-        x %= n
-    return x or None
+def _merge(kind: str, x, y) -> object | None:
+    """x + y in the kind's vertex group, or None for the identity."""
+    if kind == "circulation":
+        return _circle(x[0] * y[1] + y[0] * x[1], x[1] * y[1])  # p/q + r/s = (ps + rq)/qs
+    return (x + y) % 2 or None if kind == "coxeter" else x + y or None
 
 
 def _normalize_value(kind: str, value) -> object | None:
-    """Canonical letter value, or None for the identity."""
-    if type(value) is not int:  # fractions is imported for other values only
+    """Canonical letter value, or None for the identity, from an int, an int pair
+    (p, q) with q > 0 for p/q, or what ``Fraction`` reads; ValueError otherwise."""
+    if type(value) is int:
+        p, q = value, 1
+    elif type(value) is tuple and list(map(type, value)) == [int, int] and value[1] > 0:
+        p, q = value
+    else:  # fractions is imported for other values only
         from fractions import Fraction
-        x = Fraction(value)
-        if kind != "circulation" and x.denominator != 1:
-            raise ValueError(f"{kind} exponent must be an integer, got {value!r}")
-        value = x if kind == "circulation" else x.numerator
-    return _reduce(kind, value)
+        try:
+            x = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError):  # None, "1/0", inf, nan, ...
+            raise ValueError(f"unreadable {kind} value {value!r}") from None
+        p, q = x.numerator, x.denominator
+    if kind == "circulation":
+        return _circle(p, q)
+    if p % q:
+        raise ValueError(f"{kind} exponent must be an integer, got {value!r}")
+    return _merge(kind, p // q, 0)  # the integer p/q in Z/2 or Z
 
 
 class GroupWord(Value):
@@ -112,7 +125,10 @@ class GroupWord(Value):
         return GroupWord(self.kind, self.graph, self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        inv = tuple((v, _reduce(self.kind, -val)) for v, val in reversed(self.letters))
+        if self.kind == "circulation":
+            inv = tuple((v, (q - p, q)) for v, (p, q) in reversed(self.letters))
+        else:
+            inv = tuple((v, -x if self.kind == "artin" else x) for v, x in reversed(self.letters))
         return GroupWord(self.kind, self.graph, inv)
 
     def __len__(self) -> int:
@@ -154,7 +170,7 @@ def _fully_reduce(kind: str, adj: tuple[int, ...], letters: Iterable[Letter]) ->
         if i < 0 or out[i][0] != v:
             out.append((v, x))
             continue
-        merged = _reduce(kind, out[i][1] + x)
+        merged = _merge(kind, out[i][1], x)
         if merged is None:
             del out[i]
         else:
@@ -209,11 +225,11 @@ def cartier_foata_blocks(w: GroupWord) -> list[tuple[Letter, ...]]:
 
 
 def abelianize(w: GroupWord):
-    """Per-vertex letter totals: in Z/2, Z, or Q/Z according to the kind."""
-    sums = [0] * (w.graph.m + 1)
+    """Per-vertex letter totals in Z/2, Z or Q/Z (p/q as the pair (p, q)); 0 is the identity."""
+    sums: list = [None] * (w.graph.m + 1)
     for v, x in w.letters:
-        sums[v] += x
-    return tuple(_reduce(w.kind, x) or 0 for x in sums[1:])
+        sums[v] = x if sums[v] is None else _merge(w.kind, sums[v], x)
+    return tuple(x or 0 for x in sums[1:])
 
 
 def in_commutator_subgroup(w: GroupWord) -> bool:
@@ -239,8 +255,6 @@ def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
     """Parse space-separated letters, v<i>^<e>, a<i> or t<i>@<p>/<q>, to canonical values."""
     if kind not in KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
-    if kind == "circulation":
-        from fractions import Fraction
     pattern, shape = _LETTERS[kind]
     tokens = text.split()
     letters = []
@@ -250,8 +264,7 @@ def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
             raise ValueError(f"bad {kind} letter {tok!r} (expected {shape})")
         try:
             if kind == "circulation":
-                p, q = int(match[2]), int(match[3])
-                x = p % q and Fraction(p % q, q)  # one Fraction, in [0, 1)
+                x = _circle(int(match[2]), int(match[3]))
             else:
                 x = int(match[2]) if kind == "artin" else 1
             letters.append((int(match[1]), x))
@@ -270,7 +283,7 @@ def format_letters(kind: str, letters: Iterable[Letter]) -> str:
         return " ".join(f"v{v}^{e}" for v, e in letters)
     if kind == "coxeter":
         return " ".join(f"a{v}" for v, _ in letters)
-    return " ".join(f"t{v}@{q.numerator}/{q.denominator}" for v, q in letters)
+    return " ".join(f"t{v}@{p}/{q}" for v, (p, q) in letters)
 
 
 def format_word(w: GroupWord) -> str:

@@ -324,8 +324,21 @@ def kunneth(A: list[HomologyGroup], B: list[HomologyGroup]) -> list[HomologyGrou
 
 # Letters are (vertex, value) pairs; words are tuples of letters.  Values:
 # 1 for coxeter letters, nonzero ints for artin, Fractions in (0,1) for
-# circulation.  The only moves are single adjacent swaps across an edge of
-# the commutation graph and single adjacent same-vertex merges.
+# circulation, which graphprod writes as int pairs (p, q): ``as_fractions``
+# and ``as_pairs`` convert.  The only moves are single adjacent swaps across
+# an edge of the commutation graph and single adjacent same-vertex merges.
+
+
+def as_fractions(kind: str, letters) -> list:
+    """The letters with each circulation pair (p, q) read as ``Fraction(p, q)``."""
+    return [(v, Fraction(*x)) for v, x in letters] if kind == "circulation" else list(letters)
+
+
+def as_pairs(kind: str, letters) -> list:
+    """The letters with each circulation ``Fraction`` written as its int pair."""
+    if kind != "circulation":
+        return list(letters)
+    return [(v, (x.numerator, x.denominator)) for v, x in letters]
 
 
 def _merge_value(kind: str, a, b):
@@ -405,6 +418,14 @@ def brute_block_split(adj: tuple[int, ...], letters) -> list[list]:
         rest = keep
     blocks.reverse()
     return blocks
+
+
+def fraction_normal_form(adj: tuple[int, ...], letters) -> list:
+    """Normal form of circulation letters with ``Fraction`` values, the reference
+    reduction: merges add in Q and take the sum mod 1, as ``Fraction`` arithmetic
+    keeps it in lowest terms; then the blocks are peeled, leftmost first."""
+    reduced = restart_reduce("circulation", adj, list(letters))
+    return [letter for block in brute_block_split(adj, reduced) for letter in block]
 
 
 class RewritingOracle:
