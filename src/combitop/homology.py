@@ -2,9 +2,9 @@
 
 A chain complex keeps one representation: the sparse boundary column of each
 cell, over one index of its cells (``ChainComplex.from_cells``).  Integer Smith
-normal form eliminates their +-1 pivots sparsely, and only the residual goes to
-gcd-pivot elimination with arbitrary-precision integers, preferring +-1 pivots,
-then the least absolute value.  Mod-2 ranks use one bitset xor elimination.
+normal form eliminates their +-1 pivots sparsely, and the residual columns go to
+a sparse finisher that pivots on entries of least absolute value, with
+arbitrary-precision integers.  Mod-2 ranks use one bitset xor elimination.
 """
 
 from __future__ import annotations
@@ -22,46 +22,11 @@ Column = dict[int, int]
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal of the Smith form: positive entries, each dividing the next.
 
-    The length of the returned list is the rank of the matrix.
+    The length of the returned list is the rank of the matrix, whose columns
+    go to ``sparse_smith_normal_form``.
     """
-    M = [list(row) for row in mat]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    diag: list[int] = []
-    t = 0
-    while t < nrows and t < ncols:
-        # the pivot: the first +-1 entry, else one of least absolute value
-        p = 0
-        for i in range(t, nrows):
-            for j, a in enumerate(M[i][t:], t):
-                if a and (not p or abs(a) < p):
-                    p, pr, pc = abs(a), i, j
-            if p == 1:
-                break
-        if not p:
-            break
-        M[t], M[pr] = M[pr], M[t]
-        for row in M:
-            row[t], row[pc] = row[pc], row[t]
-        if M[t][t] < 0:
-            M[t] = [-x for x in M[t]]
-        Mt = M[t]
-        # clear column t by row operations, then row t by column operations,
-        # which touch row t alone; a remainder is a smaller pivot: pick again
-        for i in range(t + 1, nrows):
-            q = M[i][t] // p
-            if q:
-                M[i] = [x - q * y for x, y in zip(M[i], Mt)]
-        if any(M[i][t] for i in range(t + 1, nrows)):
-            continue
-        for j in range(t + 1, ncols):
-            Mt[j] %= p
-        if any(Mt[t + 1:]):
-            continue
-        diag.append(p)
-        t += 1
-    factors = invariant_factors(diag)
-    return [1] * (len(diag) - len(factors)) + list(factors)
+    return sparse_smith_normal_form({i: row[j] for i, row in enumerate(mat) if row[j]}
+                                    for j in range(len(mat[0]) if mat else 0))
 
 
 def invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
@@ -97,13 +62,26 @@ def xor_rank(vectors: Iterable[int]) -> int:
     return len(pivots)
 
 
+def reduce_column(col: Column, r: int, pivot: Column) -> None:
+    """Subtract q * ``pivot`` from ``col`` in place, q = col[r] // pivot[r], so that
+    col[r] becomes col[r] mod pivot[r]; entries that reach 0 are dropped."""
+    q = col[r] // pivot[r]
+    for i, a in pivot.items():
+        v = col.get(i, 0) - q * a
+        if v:
+            col[i] = v
+        else:
+            del col[i]
+
+
 def sparse_smith_normal_form(columns: Iterable[Column]) -> list[int]:
     """``smith_normal_form`` of the matrix with these sparse columns.
 
     A column is reduced past the +-1 pivots found so far, and a unit entry
     left in it becomes a pivot; the residual columns that hold its row are
     then reduced again.  The pivots form a triangular unimodular block, so
-    the rest of the Smith form is that of the residual columns alone.
+    the rest of the Smith form is that of the residual columns alone, which
+    ``gcd_smith_normal_form`` finishes.
     """
     pivots: dict[int, Column] = {}
     residual: list[Column] = []
@@ -114,13 +92,7 @@ def sparse_smith_normal_form(columns: Iterable[Column]) -> list[int]:
             col = dict(col)  # reduce a copy: the columns are the caller's
             for r in hits:
                 if r in col:
-                    q = col[r] * pivots[r][r]
-                    for i, a in pivots[r].items():
-                        v = col.get(i, 0) - q * a
-                        if v:
-                            col[i] = v
-                        else:
-                            del col[i]
+                    reduce_column(col, r, pivots[r])
         for unit, a in col.items():
             if a == 1 or a == -1:
                 break
@@ -130,9 +102,32 @@ def sparse_smith_normal_form(columns: Iterable[Column]) -> list[int]:
         pivots[unit] = col
         todo += [c for c in residual if unit in c]
         residual = [c for c in residual if unit not in c]
-    rows = sorted({r for c in residual for r in c})
-    rest = smith_normal_form([[c.get(r, 0) for c in residual] for r in rows]) if rows else []
-    return [1] * len(pivots) + rest
+    return [1] * len(pivots) + gcd_smith_normal_form(residual)
+
+
+def gcd_smith_normal_form(columns: Iterable[Column]) -> list[int]:
+    """``smith_normal_form`` of sparse columns by pivots of least absolute value.
+
+    Column steps clear the pivot's row; then row steps, which touch only the
+    pivot column, clear its column.  A remainder left by either is a smaller
+    entry, and the pivot is picked again.  The columns are not changed.
+    """
+    cols, diag = [dict(c) for c in columns], []
+    while any(cols):
+        _, r, j = min((abs(a), r, j) for j, col in enumerate(cols) for r, a in col.items())
+        pivot = cols.pop(j)
+        p = pivot[r]
+        for col in cols:
+            if r in col:
+                reduce_column(col, r, pivot)
+        if any(r in col for col in cols):
+            cols.append(pivot)
+        elif rest := {i: a % p for i, a in pivot.items() if a % p}:
+            cols.append({r: p, **rest})
+        else:
+            diag.append(abs(p))
+    factors = invariant_factors(diag)
+    return [1] * (len(diag) - len(factors)) + list(factors)
 
 
 def homology_groups(ranks: Sequence[int], diagonals: Sequence[list[int]]) -> list[HomologyGroup]:

@@ -7,9 +7,9 @@ one outside ``upper`` at -1.  The sign-flip action of C2^m permutes cells;
 coordinate i fixes a cell exactly when i is free.
 
 Homology comes from the real stable splitting, H_i = sum over W of
-H~_{i-1}(K_W), torsion included, reduced as sparse columns over one index
-of the faces of K.  The cubical model's own chains
-(``real_moment_angle(K).chain_complex()``) are kept as the independent check.
+H~_{i-1}(K_W), torsion included: d_0 and d_1 from the components of K_W, the
+rest reduced as sparse columns over one index of the faces of K.  The cubical
+model's own chains (``real_moment_angle(K).chain_complex()``) are the independent check.
 """
 
 from __future__ import annotations
@@ -50,6 +50,23 @@ def _simplex_boundary(face: int) -> list[tuple[int, int]]:
     return terms
 
 
+def components(adjacency: tuple[int, ...], vertices: int) -> int:
+    """Connected components of the graph on ``vertices`` (a mask) whose neighbour
+    masks ``adjacency`` lists by vertex number, as ``adjacency_masks`` does."""
+    count = 0
+    while vertices:
+        count += 1
+        front = vertices & -vertices
+        vertices ^= front
+        while front:
+            low = front & -front
+            front ^= low
+            reached = adjacency[low.bit_length()] & vertices
+            vertices ^= reached
+            front |= reached
+    return count
+
+
 def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[HomologyGroup]:
     """H_0 .. H_{dim K + 1} of the real moment-angle complex, by the stable splitting.
 
@@ -58,6 +75,9 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
     indexed once by size, each with its boundary as a sparse column.  The
     augmented chains of K_W are the columns of the faces inside W, so one
     d o d check on K covers every K_W.  A cone K_W, such as a simplex, adds 0.
+    Otherwise d_0 has rank 1 if K_W has a vertex, and d_1, a graph's totally
+    unimodular incidence matrix, has |V(K_W)| - c(K_W) ones as its Smith
+    diagonal, c counting components: only faces of 3 or more vertices are reduced.
     This is also the homology of the complement of the real coordinate arrangement.
     """
     _check_vertex_cap(K)
@@ -69,7 +89,8 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
         columns = [sum(1 << i for i in col) for col in columns]
     ext = list(map(K.extension_masks().get, faces))
     top = faces[-1].bit_count()
-    counts, diagonals = [0] * (top + 1), [[] for _ in range(top)]
+    counts, diagonals = [0] * (top + 1), [[] for _ in range(top + 1)]  # d_{top+1} = 0 too
+    adjacency = K.adjacency_masks()
     # W grows by vertices above its top one, and a new vertex v adds the
     # faces g | v for the faces g of K_W that it extends.  K_W is a cone
     # with apex v when v is in W and in the star f | ext[f] of each face f.
@@ -79,9 +100,12 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
         if not W & star:
             for s, fs in enumerate(by_size):
                 counts[s] += len(fs)
-                if s:  # over Z/2 the Smith diagonal is rank-many 1s
-                    chain = [columns[i] for i in fs]
-                    diagonals[s - 1] += [1] * xor_rank(chain) if mod2 else sparse_smith_normal_form(chain)
+            if W:  # every vertex of K is a face, so V(K_W) = W
+                diagonals[0].append(1)
+                diagonals[1] += [1] * (W.bit_count() - components(adjacency, W))
+            for s, fs in enumerate(by_size[3:], 3):  # over Z/2 the Smith diagonal is rank-many 1s
+                chain = [columns[i] for i in fs]
+                diagonals[s - 1] += [1] * xor_rank(chain) if mod2 else sparse_smith_normal_form(chain)
         for v in range(W.bit_length(), K.m):
             bit, grown, meet = 1 << v, [by_size[0]], star
             for fs, below in zip(by_size[1:], by_size):

@@ -269,6 +269,52 @@ def snf_by_determinant_divisors(mat: list[list[int]]) -> list[int]:
     return [divisors[i] // divisors[i - 1] for i in range(1, len(divisors))]
 
 
+def dense_smith_normal_form(mat: list[list[int]]) -> list[int]:
+    """Nonzero Smith diagonal by dense gcd-pivot elimination: the first +-1 entry,
+    else one of least absolute value, row steps, then column steps on its row."""
+    M = [list(row) for row in mat]
+    nrows = len(M)
+    ncols = len(M[0]) if nrows else 0
+    diag: list[int] = []
+    t = 0
+    while t < nrows and t < ncols:
+        p = 0
+        for i in range(t, nrows):
+            for j, a in enumerate(M[i][t:], t):
+                if a and (not p or abs(a) < p):
+                    p, pr, pc = abs(a), i, j
+            if p == 1:
+                break
+        if not p:
+            break
+        M[t], M[pr] = M[pr], M[t]
+        for row in M:
+            row[t], row[pc] = row[pc], row[t]
+        if M[t][t] < 0:
+            M[t] = [-x for x in M[t]]
+        Mt = M[t]
+        # clear column t by row operations, then row t by column operations,
+        # which touch row t alone; a remainder is a smaller pivot: pick again
+        for i in range(t + 1, nrows):
+            q = M[i][t] // p
+            if q:
+                M[i] = [x - q * y for x, y in zip(M[i], Mt)]
+        if any(M[i][t] for i in range(t + 1, nrows)):
+            continue
+        for j in range(t + 1, ncols):
+            Mt[j] %= p
+        if any(Mt[t + 1:]):
+            continue
+        diag.append(p)
+        t += 1
+    # diag(d_i) to a divisibility chain: Z/a + Z/b = Z/gcd + Z/lcm
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag
+
+
 def dense_boundaries(X) -> list[list[list[int]]]:
     """The matrix of each d_k of a ``CubicalComplex``, zero-filled and summed entry by
     entry from each ``cell.boundary()``: the dense assembly that its sparse columns replaced."""

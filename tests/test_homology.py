@@ -1,20 +1,27 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from combitop.facecat import cubical_model
 from combitop.homology import (
     ChainComplex,
     HomologyGroup,
     check_square_zero,
+    gcd_smith_normal_form,
     invariant_factors,
     smith_normal_form,
     sparse_smith_normal_form,
 )
 from combitop.macomplex import real_moment_angle
 
-from oracles import dense_boundaries, small_complexes, snf_by_determinant_divisors
+from oracles import (
+    dense_boundaries,
+    dense_smith_normal_form,
+    small_complexes,
+    snf_by_determinant_divisors,
+)
 
 
 def test_snf_examples():
@@ -68,17 +75,38 @@ def test_invariant_factors_against_determinant_divisors():
         assert invariant_factors(orders) == expected
 
 
-def test_sparse_snf_matches_dense():
-    # sparse columns with many +-1 entries, so that pivots, re-reduced
-    # residuals and a dense remainder all occur
-    rng = random.Random(23)
-    for _ in range(400):
-        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
-        mat = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(cols)] for _ in range(rows)]
-        columns = [{i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)]
-        expected = snf_by_determinant_divisors(mat) if rows and cols else []
-        assert sparse_smith_normal_form(columns) == smith_normal_form(mat) == expected
-        assert columns == [{i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)]
+#: Matrix entries: sparse with +-1 entries, so that pivots, re-reduced residuals and a
+#: finished remainder all occur; no +-1 entry, so that every column reaches the finisher;
+#: and past 2^64.
+ENTRIES = [st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+           st.integers(-30, 30).filter(lambda a: abs(a) != 1),
+           st.one_of(st.just(0), st.integers(2**64, 2**70), st.integers(-2**70, -2**64),
+                     st.sampled_from([2, -3, 2**64 + 1]))]
+
+
+@st.composite
+def integer_matrices(draw):
+    entries = draw(st.sampled_from(ENTRIES))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@settings(max_examples=400)
+@given(integer_matrices())
+@example([[2], [3]])  # a column with no unit entry whose Smith diagonal is [1]
+@example([[2, 0], [3, 4]])
+def test_sparse_snf_matches_dense(mat):
+    # the sparse path against the dense elimination it replaced, and both against
+    # determinant divisors on the smaller matrices; the caller's columns stay as given
+    columns = [{i: row[j] for i, row in enumerate(mat) if row[j]}
+               for j in range(len(mat[0]) if mat else 0)]
+    copies = [dict(col) for col in columns]
+    expected = dense_smith_normal_form(mat)
+    assert sparse_smith_normal_form(columns) == smith_normal_form(mat) == expected
+    assert gcd_smith_normal_form(columns) == expected
+    assert columns == copies
+    if len(columns) <= 4:
+        assert expected == (snf_by_determinant_divisors(mat) if columns and mat else [])
 
 
 def test_check_square_zero():

@@ -270,8 +270,8 @@ def test_join_is_the_kunneth_product(name, mod2):
 
 
 def test_identities_fail_on_mutated_reducers(monkeypatch):
-    snf, rank, groups = (macomplex.sparse_smith_normal_form, macomplex.xor_rank,
-                         macomplex.homology_groups)
+    snf, rank, groups, count = (macomplex.sparse_smith_normal_form, macomplex.xor_rank,
+                                macomplex.homology_groups, macomplex.components)
     with monkeypatch.context() as patch:
         # a torsion factor dropped, every rank kept: universal coefficients see it, and
         # so does Kunneth on a join
@@ -282,12 +282,13 @@ def test_identities_fail_on_mutated_reducers(monkeypatch):
         J, product = join_and_kunneth("rp2*pentagon", False)
         assert moment_angle_homology(J) != product
     with monkeypatch.context() as patch:
-        # a pivot dropped in either ring: the polygon's closed form sees it, and
-        # universal coefficients and Kunneth on a join see it over Z
+        # a pivot dropped in either ring: the sphere R_K of the 5-simplex's boundary sees
+        # it (no polygon reaches a reducer), and universal coefficients and Kunneth on a
+        # join see it over Z
         patch.setattr(macomplex, "sparse_smith_normal_form", lambda cols: snf(cols)[:-1])
         patch.setattr(macomplex, "xor_rank", lambda cols: max(rank(cols) - 1, 0))
         for mod2 in (False, True):
-            assert moment_angle_homology(polygon_boundary(6), mod2) != polygon_groups(6)
+            assert moment_angle_homology(simplex_boundary(6), mod2) != [Z, *[ZERO] * 4, Z]
         patch.setattr(macomplex, "xor_rank", rank)
         Z = moment_angle_homology(RP2)
         assert [g.betti for g in moment_angle_homology(RP2, mod2=True)] != (
@@ -300,6 +301,15 @@ def test_identities_fail_on_mutated_reducers(monkeypatch):
         patch.setattr(macomplex, "homology_groups",
                       lambda ranks, diagonals: groups([ranks[0] + 1, *ranks[1:]], diagonals))
         assert alternating_rank(moment_angle_homology(RP2)) != cell_euler(RP2)
+    with monkeypatch.context() as patch:
+        # one component too many: the rank of d_1 enters two Betti numbers of opposite
+        # sign, like a Smith diagonal's, so the Euler identity holds; every polygon's
+        # closed form and the cubical model see it
+        patch.setattr(macomplex, "components", lambda adj, W: count(adj, W) + 1)
+        for m in range(4, 17):
+            for mod2 in (False, True):
+                assert moment_angle_homology(polygon_boundary(m), mod2) != polygon_groups(m)
+        assert moment_angle_homology(RP2) != real_moment_angle(RP2).chain_complex().homology()
 
 
 @settings(max_examples=60)
@@ -340,12 +350,12 @@ def test_rp2_and_point_homology():
 
 
 @pytest.mark.parametrize(
-    "K, dense",
+    "K, residual",
     [(RP2, True), (RP2_AND_POINT, True), (polygon_boundary(8), False), (simplex_boundary(7), False)],
     ids=["rp2", "rp2+point", "pg8", "sb7"],
 )
-def test_splitting_checks_once_and_reduces_sparsely(monkeypatch, K, dense):
-    calls = {"check": 0, "snf": 0, "chains": 0}
+def test_splitting_checks_once_and_reduces_sparsely(monkeypatch, K, residual):
+    calls = {"check": 0, "finish": 0, "chains": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -354,20 +364,60 @@ def test_splitting_checks_once_and_reduces_sparsely(monkeypatch, K, dense):
 
         return wrapper
 
+    def finish(columns):  # a call counts when it is given a residual column
+        calls["finish"] += bool(columns)
+        return finisher(columns)
+
+    finisher = homology.gcd_smith_normal_form
     monkeypatch.setattr(macomplex, "check_square_zero", counted("check", homology.check_square_zero))
-    monkeypatch.setattr(homology, "smith_normal_form", counted("snf", homology.smith_normal_form))
+    monkeypatch.setattr(homology, "gcd_smith_normal_form", finish)
     # a chain complex is built by its constructor, or by from_cells, which calls _keep
     for cls, name in ((homology.ChainComplex, "__init__"), (homology.ChainComplex, "_keep"),
                       (facecat.CubicalComplex, "__init__")):
         monkeypatch.setattr(cls, name, counted("chains", getattr(cls, name)))
     for mod2 in (False, True):
-        calls.update(check=0, snf=0)
+        calls.update(check=0, finish=0)
         moment_angle_homology(K, mod2)
-        # one d o d check on K's boundary; a dense Smith form only for a
+        # one d o d check on K's boundary; the sparse finisher gets columns only from a
         # residual without +-1 entries, so only where there is torsion
         assert calls["check"] == 1
-        assert (calls["snf"] > 0) == (dense and not mod2)
+        assert (calls["finish"] > 0) == (residual and not mod2)
     assert calls["chains"] == 0
+
+
+@settings(max_examples=60)
+@given(small_complexes())
+@example(RP2)
+@example(simplex_boundary(7))
+@example(polygon_boundary(9))
+@example(polygon_boundary(12))
+def test_no_vertex_or_edge_reaches_a_reducer(K):
+    # d_0 and d_1 come from the component count: a column passed to either reducer is
+    # the boundary of a face of 3 or more vertices, with as many entries (as set bits
+    # over Z/2), and a graph, such as a polygon, reaches no reducer at all
+    calls, sizes = [], []
+
+    def recorded(reducer):
+        def wrapper(chain):
+            calls.append(chain)
+            sizes.extend(len(col) if isinstance(col, dict) else col.bit_count() for col in chain)
+            return reducer(chain)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("sparse_smith_normal_form", "xor_rank"):
+            patch.setattr(macomplex, name, recorded(getattr(macomplex, name)))
+        for mod2 in (False, True):
+            moment_angle_homology(K, mod2)
+    assert all(size >= 3 for size in sizes)
+    assert K.dim >= 2 or not calls
+
+
+def test_no_vertices_gives_a_point():
+    # the 0-vertex complex: one W, the empty one, and R_K is a point
+    for mod2 in (False, True):
+        assert moment_angle_homology(SimplicialComplex.from_maximal_faces(0, []), mod2) == [Z]
 
 
 def test_boundary_sign_error_raises(monkeypatch):
