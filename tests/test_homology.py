@@ -97,7 +97,7 @@ def integer_matrices(draw):
 @example([[2, 0], [3, 4]])
 def test_sparse_snf_matches_dense(mat):
     # the sparse path against the dense elimination it replaced, and both against
-    # determinant divisors on the smaller matrices; the caller's columns stay as given
+    # determinant divisors; the caller's columns stay as given
     columns = [{i: row[j] for i, row in enumerate(mat) if row[j]}
                for j in range(len(mat[0]) if mat else 0)]
     copies = [dict(col) for col in columns]
@@ -105,8 +105,21 @@ def test_sparse_snf_matches_dense(mat):
     assert sparse_smith_normal_form(columns) == smith_normal_form(mat) == expected
     assert gcd_smith_normal_form(columns) == expected
     assert columns == copies
-    if len(columns) <= 4:
-        assert expected == (snf_by_determinant_divisors(mat) if columns and mat else [])
+    assert expected == (snf_by_determinant_divisors(mat) if columns and mat else [])
+
+
+def test_sparse_snf_matches_determinant_divisors():
+    # sparse columns with many +-1 entries, so that pivots, re-reduced
+    # residuals and a finished remainder all occur
+    rng = random.Random(23)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        mat = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(cols)] for _ in range(rows)]
+        columns = [{i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)]
+        expected = snf_by_determinant_divisors(mat) if rows and cols else []
+        assert sparse_smith_normal_form(columns) == smith_normal_form(mat) == expected
+        assert dense_smith_normal_form(mat) == expected
+        assert columns == [{i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)]
 
 
 def test_check_square_zero():

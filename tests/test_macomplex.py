@@ -187,6 +187,7 @@ RP2_AND_3_POINTS = SimplicialComplex.from_maximal_faces(
 @example(RP2_AND_3_POINTS)
 @example(polygon_boundary(10))
 @example(random_complex(9, random.Random(10)))
+@example(SimplicialComplex.from_maximal_faces(0, []))  # R_K is a point
 def test_splitting_matches_cubical_model(K):
     # the stable splitting against the cubical chains of the same space,
     # torsion and trailing zero groups included
@@ -412,12 +413,6 @@ def test_no_vertex_or_edge_reaches_a_reducer(K):
             moment_angle_homology(K, mod2)
     assert all(size >= 3 for size in sizes)
     assert K.dim >= 2 or not calls
-
-
-def test_no_vertices_gives_a_point():
-    # the 0-vertex complex: one W, the empty one, and R_K is a point
-    for mod2 in (False, True):
-        assert moment_angle_homology(SimplicialComplex.from_maximal_faces(0, []), mod2) == [Z]
 
 
 def test_boundary_sign_error_raises(monkeypatch):
