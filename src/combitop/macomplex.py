@@ -6,9 +6,8 @@ minus ``lower`` is a face J of K.  A coordinate in ``lower`` sits at +1 and
 one outside ``upper`` at -1.  The sign-flip action of C2^m permutes cells;
 coordinate i fixes a cell exactly when i is free.
 
-Homology comes from the real stable splitting, H_i = sum over W of
-H~_{i-1}(K_W), torsion included: d_0 and d_1 from the components of K_W, the
-rest reduced as sparse columns over one index of the faces of K.  The cubical
+Homology comes from the real stable splitting, torsion included, summed
+over the vertex sets that are connected in the 1-skeleton of K.  The cubical
 model's own chains (``real_moment_angle(K).chain_complex()``) are the independent check.
 """
 
@@ -50,35 +49,22 @@ def _simplex_boundary(face: int) -> list[tuple[int, int]]:
     return terms
 
 
-def components(adjacency: tuple[int, ...], vertices: int) -> int:
-    """Connected components of the graph on ``vertices`` (a mask) whose neighbour
-    masks ``adjacency`` lists by vertex number, as ``adjacency_masks`` does."""
-    count = 0
-    while vertices:
-        count += 1
-        front = vertices & -vertices
-        vertices ^= front
-        while front:
-            low = front & -front
-            front ^= low
-            reached = adjacency[low.bit_length()] & vertices
-            vertices ^= reached
-            front |= reached
-    return count
-
-
 def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[HomologyGroup]:
     """H_0 .. H_{dim K + 1} of the real moment-angle complex, by the stable splitting.
 
-    H_i is the sum over vertex sets W of H~_{i-1}(K_W), the empty W giving
-    H~_{-1}(empty) = Z in H_0.  The faces of K, the empty face included, are
-    indexed once by size, each with its boundary as a sparse column.  The
-    augmented chains of K_W are the columns of the faces inside W, so one
-    d o d check on K covers every K_W.  A cone K_W, such as a simplex, adds 0.
-    Otherwise d_0 has rank 1 if K_W has a vertex, and d_1, a graph's totally
-    unimodular incidence matrix, has |V(K_W)| - c(K_W) ones as its Smith
-    diagonal, c counting components: only faces of 3 or more vertices are reduced.
-    This is also the homology of the complement of the real coordinate arrangement.
+    H_i is the sum over vertex sets W of H~_{i-1}(K_W), and K_W is the disjoint
+    union of the K_C on its components C.  A set C connected in the 1-skeleton
+    is a component of K_W for the 2^(m - |N[C]|) sets W that meet its closed
+    neighbourhood N[C] in C, so only connected sets are visited, each adding
+    H~(K_C) that many times.  The empty W gives H_0 = Z, and H_1 is free of rank
+    sum_C 2^(m - |N[C]|) - (2^m - 1), the components beyond one in each W.  A
+    connected K_C has no H~_0, so d_0 and d_1 leave only the cycle rank
+    |E(K_C)| - |C| + 1, and a cone K_C, such as a simplex, adds nothing.  The
+    faces of K, the empty face included, are indexed once by size, each with its
+    boundary as a sparse column; K_C's chains are the columns of the faces inside
+    C, so one d o d check on K covers them all, and only faces of 3 or more
+    vertices are reduced.  This is also the homology of the complement of the
+    real coordinate arrangement.
     """
     _check_vertex_cap(K)
     faces = sorted(K.face_masks, key=int.bit_count)
@@ -88,32 +74,40 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
     if mod2:
         columns = [sum(1 << i for i in col) for col in columns]
     ext = list(map(K.extension_masks().get, faces))
-    top = faces[-1].bit_count()
-    counts, diagonals = [0] * (top + 1), [[] for _ in range(top + 1)]  # d_{top+1} = 0 too
+    top, full = faces[-1].bit_count(), (1 << K.m) - 1
+    counts = [1, -full, *[0] * top][: top + 1]  # H_0 = Z from the empty W; H_1 less 2^m - 1
+    diagonals = [[] for _ in range(top + 1)]  # d_{top+1} = 0 too
     adjacency = K.adjacency_masks()
-    # W grows by vertices above its top one, and a new vertex v adds the
-    # faces g | v for the faces g of K_W that it extends.  K_W is a cone
-    # with apex v when v is in W and in the star f | ext[f] of each face f.
-    stack = [(0, [[0]] + [[] for _ in range(top)], ext[0])]
+    # C grows by a vertex v of N[C] (any vertex if C is empty) that is not banned: below C's
+    # least vertex or taken by an earlier sibling.  v adds g | v for the faces g it extends,
+    # and K_C is a cone with apex u when u is in C and in the star f | ext[f] of each face f.
+    stack = [(0, 0, 0, [[0]] + [[] for _ in range(top)], ext[0])]
     while stack:
-        W, by_size, star = stack.pop()
-        if not W & star:
-            for s, fs in enumerate(by_size):
-                counts[s] += len(fs)
-            if W:  # every vertex of K is a face, so V(K_W) = W
-                diagonals[0].append(1)
-                diagonals[1] += [1] * (W.bit_count() - components(adjacency, W))
-            for s, fs in enumerate(by_size[3:], 3):  # over Z/2 the Smith diagonal is rank-many 1s
-                chain = [columns[i] for i in fs]
-                diagonals[s - 1] += [1] * xor_rank(chain) if mod2 else sparse_smith_normal_form(chain)
-        for v in range(W.bit_length(), K.m):
-            bit, grown, meet = 1 << v, [by_size[0]], star
+        C, near, banned, by_size, star = stack.pop()
+        copies = 1 << K.m - near.bit_count()
+        if C:
+            counts[1] += copies
+        if C and not C & star:
+            counts[2] += copies * (len(by_size[2]) - C.bit_count() + 1)
+            for s, fs in enumerate(by_size[3:], 3):
+                if not fs:
+                    break
+                counts[s] += copies * len(fs)
+                chain = [columns[i] for i in fs]  # over Z/2 the Smith diagonal is rank-many 1s
+                diagonals[s - 1] += ([1] * xor_rank(chain) if mod2 else
+                                     sparse_smith_normal_form(chain)) * copies
+        grow = (near or full) & ~C & ~banned
+        while grow:
+            bit = grow & -grow
+            grown, meet = [by_size[0]], star
             for fs, below in zip(by_size[1:], by_size):
                 added = [index[faces[i] | bit] for i in below if ext[i] & bit]
                 for j in added:
                     meet &= faces[j] | ext[j]
                 grown.append(fs + added)
-            stack.append((W | bit, grown, meet))
+            stack.append((C | bit, near | bit | adjacency[bit.bit_length()], banned, grown, meet))
+            banned |= bit
+            grow ^= bit
     return homology_groups(counts, diagonals)
 
 

@@ -17,7 +17,7 @@ from combitop.simplicial import (
     simplex_boundary,
 )
 
-from oracles import join, kunneth, random_complex, small_complexes
+from oracles import join, kunneth, random_complex, small_complexes, subset_walk_homology
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)
@@ -196,6 +196,24 @@ def test_splitting_matches_cubical_model(K):
     check_euler_and_universal_coefficients(K)
 
 
+# two disjoint copies of RP^2: each proper K_C is a cone, a Moebius band or RP^2 itself
+TWO_RP2 = SimplicialComplex.from_maximal_faces(
+    12, [list(f) for f in RP2.faces()] + [[v + 6 for v in f] for f in RP2.faces()]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(max_m=12))
+@example(TWO_RP2)
+@example(RP2_AND_3_POINTS)
+@example(discrete_complex(12))
+@example(polygon_boundary(12))
+def test_connected_sets_match_the_subset_walk(K):
+    # the sum over connected vertex sets against the sum over every vertex set
+    for mod2 in (False, True):
+        assert moment_angle_homology(K, mod2) == subset_walk_homology(K, mod2)
+
+
 def test_cubical_homology_builds_no_dense_matrix():
     # the dense boundaries of the 10-gon's R_K hold about 18 M entries; its sparse
     # columns and their reduction stay far below
@@ -249,6 +267,15 @@ def test_polygon_is_a_surface_of_its_genus(m):
         assert moment_angle_homology(polygon_boundary(m), mod2) == polygon_groups(m)
 
 
+@pytest.mark.parametrize("m", range(1, 17))
+def test_points_give_a_wedge_of_circles(m):
+    # every connected vertex set is one point, a component of 2^(m - 1) sets W, so
+    # H_1 has rank m 2^(m - 1) - (2^m - 1)
+    for mod2 in (False, True):
+        groups = [Z, HomologyGroup((m - 2) * 2 ** (m - 1) + 1)]
+        assert moment_angle_homology(discrete_complex(m), mod2) == groups
+
+
 # R_K of a join is the product R_K x R_L.  Each factor's groups are known without the
 # reducer under test: RP^2's are pinned, and the m-gon's are free, in closed form.
 JOINS = {"rp2*pentagon": ("rp2", 5), "rp2*rp2": ("rp2", "rp2"), "hexagon*heptagon": (6, 7)}
@@ -271,8 +298,8 @@ def test_join_is_the_kunneth_product(name, mod2):
 
 
 def test_identities_fail_on_mutated_reducers(monkeypatch):
-    snf, rank, groups, count = (macomplex.sparse_smith_normal_form, macomplex.xor_rank,
-                                macomplex.homology_groups, macomplex.components)
+    snf, rank, groups = (macomplex.sparse_smith_normal_form, macomplex.xor_rank,
+                         macomplex.homology_groups)
     with monkeypatch.context() as patch:
         # a torsion factor dropped, every rank kept: universal coefficients see it, and
         # so does Kunneth on a join
@@ -302,15 +329,6 @@ def test_identities_fail_on_mutated_reducers(monkeypatch):
         patch.setattr(macomplex, "homology_groups",
                       lambda ranks, diagonals: groups([ranks[0] + 1, *ranks[1:]], diagonals))
         assert alternating_rank(moment_angle_homology(RP2)) != cell_euler(RP2)
-    with monkeypatch.context() as patch:
-        # one component too many: the rank of d_1 enters two Betti numbers of opposite
-        # sign, like a Smith diagonal's, so the Euler identity holds; every polygon's
-        # closed form and the cubical model see it
-        patch.setattr(macomplex, "components", lambda adj, W: count(adj, W) + 1)
-        for m in range(4, 17):
-            for mod2 in (False, True):
-                assert moment_angle_homology(polygon_boundary(m), mod2) != polygon_groups(m)
-        assert moment_angle_homology(RP2) != real_moment_angle(RP2).chain_complex().homology()
 
 
 @settings(max_examples=60)
@@ -393,9 +411,10 @@ def test_splitting_checks_once_and_reduces_sparsely(monkeypatch, K, residual):
 @example(polygon_boundary(9))
 @example(polygon_boundary(12))
 def test_no_vertex_or_edge_reaches_a_reducer(K):
-    # d_0 and d_1 come from the component count: a column passed to either reducer is
-    # the boundary of a face of 3 or more vertices, with as many entries (as set bits
-    # over Z/2), and a graph, such as a polygon, reaches no reducer at all
+    # d_0 and d_1 leave only closed forms: a column passed to either reducer is the
+    # boundary of a face of 3 or more vertices, with as many entries (as set bits over
+    # Z/2), a chain passed is never empty, and a graph, such as a polygon, reaches no
+    # reducer at all
     calls, sizes = [], []
 
     def recorded(reducer):
@@ -412,6 +431,7 @@ def test_no_vertex_or_edge_reaches_a_reducer(K):
         for mod2 in (False, True):
             moment_angle_homology(K, mod2)
     assert all(size >= 3 for size in sizes)
+    assert all(calls)
     assert K.dim >= 2 or not calls
 
 
