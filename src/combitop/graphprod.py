@@ -116,20 +116,36 @@ class GroupWord(Value):
     __slots__ = ("kind", "graph", "letters")
 
     def __init__(self, kind: str, graph: CommutationGraph, letters: tuple[Letter, ...]) -> None:
+        """A word of canonical letters: the errors of ``word`` for a bad kind, vertex or
+        value, and ValueError for a value that ``word`` would change or drop."""
+        letters = tuple(letters)
+        for letter, (v, y) in zip(letters, _normalize_letters(kind, graph, letters)):
+            if y is None or type(letter[1]) is not type(y) or letter != (v, y):
+                raise ValueError(f"{kind} letter {letter!r} is not canonical")
+        self._keep(kind, graph, letters)
+
+    def _keep(self, kind: str, graph: CommutationGraph, letters: tuple[Letter, ...]) -> GroupWord:
         setfield(self, "kind", kind)
         setfield(self, "graph", graph)
         setfield(self, "letters", letters)
+        return self
+
+    @classmethod
+    def _canonical(cls, kind: str, graph: CommutationGraph,
+                   letters: tuple[Letter, ...]) -> GroupWord:
+        """The word of letters already canonical, unchecked."""
+        return cls.__new__(cls)._keep(kind, graph, letters)
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         _check_ambient(self, other)
-        return GroupWord(self.kind, self.graph, self.letters + other.letters)
+        return GroupWord._canonical(self.kind, self.graph, self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
         if self.kind == "circulation":
             inv = tuple((v, (q - p, q)) for v, (p, q) in reversed(self.letters))
         else:
             inv = tuple((v, -x if self.kind == "artin" else x) for v, x in reversed(self.letters))
-        return GroupWord(self.kind, self.graph, inv)
+        return GroupWord._canonical(self.kind, self.graph, inv)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -138,14 +154,19 @@ class GroupWord(Value):
         return format_word(self)
 
 
-def word(kind: str, graph: CommutationGraph, letters: Iterable[Sequence]) -> GroupWord:
-    """Build a word, dropping identity letters and normalizing values."""
+def _normalize_letters(kind: str, graph: CommutationGraph, letters: Sequence[Sequence]) -> list:
+    """Each letter with its canonical value, None for the identity; ValueError for a bad
+    kind or value, and ``facet_masks``'s errors for a vertex not an int in 1..m."""
     if kind not in KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
-    letters = list(letters)
     facet_masks(graph.m, [(v for v, _ in letters)])
-    normalized = [(v, _normalize_value(kind, value)) for v, value in letters]
-    return GroupWord(kind, graph, tuple(letter for letter in normalized if letter[1] is not None))
+    return [(v, _normalize_value(kind, value)) for v, value in letters]
+
+
+def word(kind: str, graph: CommutationGraph, letters: Iterable[Sequence]) -> GroupWord:
+    """Build a word, dropping identity letters and normalizing values."""
+    normalized = _normalize_letters(kind, graph, list(letters))
+    return GroupWord._canonical(kind, graph, tuple(lt for lt in normalized if lt[1] is not None))
 
 
 def _check_ambient(w1: GroupWord, w2: GroupWord) -> None:
@@ -205,7 +226,7 @@ def _block_split(adj: tuple[int, ...], letters: Sequence[Letter]) -> list[list[L
 
 def normal_form(w: GroupWord) -> GroupWord:
     flat = tuple(letter for block in cartier_foata_blocks(w) for letter in block)
-    return GroupWord(w.kind, w.graph, flat)
+    return GroupWord._canonical(w.kind, w.graph, flat)
 
 
 def equal(w1: GroupWord, w2: GroupWord) -> bool:
@@ -274,7 +295,7 @@ def parse_word(kind: str, graph: CommutationGraph, text: str) -> GroupWord:
             digits = max(len(n.lstrip("-")) for n in match.groups())
             raise ValueError(f"letter too large to read: {digits} digits") from None
     facet_masks(graph.m, [(v for v, _ in letters)])
-    return GroupWord(kind, graph, tuple(letter for letter in letters if letter[1]))
+    return GroupWord._canonical(kind, graph, tuple(letter for letter in letters if letter[1]))
 
 
 def format_letters(kind: str, letters: Iterable[Letter]) -> str:

@@ -1,10 +1,11 @@
 """Exact homology of finite chain complexes over Z and Z/2; the cells live elsewhere.
 
 A chain complex keeps one representation: the sparse boundary column of each
-cell, over one index of its cells (``ChainComplex.from_cells``).  Integer Smith
-normal form eliminates their +-1 pivots sparsely, and the residual columns go to
-a sparse finisher that pivots on entries of least absolute value, with
-arbitrary-precision integers.  Mod-2 ranks use one bitset xor elimination.
+cell, over one index of its cells (``ChainComplex.from_cells``).  ``smith_diagonal``
+reduces every chain: by bitset xor elimination over Z/2, and over Z by sparse +-1
+pivots, then pivots of least absolute value on any residual, in exact integers.
+Torsion is normalised once per homology group, in one pass that does not sweep
+repeated orders.
 """
 
 from __future__ import annotations
@@ -23,30 +24,38 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal of the Smith form: positive entries, each dividing the next.
 
     The length of the returned list is the rank of the matrix, whose columns
-    go to ``sparse_smith_normal_form``.
+    go to ``smith_diagonal``.
     """
-    return sparse_smith_normal_form({i: row[j] for i, row in enumerate(mat) if row[j]}
-                                    for j in range(len(mat[0]) if mat else 0))
+    diag = smith_diagonal([{i: row[j] for i, row in enumerate(mat) if row[j]}
+                           for j in range(len(mat[0]) if mat else 0)])
+    factors = invariant_factors(diag)
+    return [1] * (len(diag) - len(factors)) + list(factors)
 
 
 def invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
     """Invariant factors of the sum of cyclic groups Z/d, d in ``orders``.
 
-    The result is ascending, each entry divides the next, and trivial
-    factors (1s) are dropped; every order must be positive.
+    The result is ascending, each entry divides the next, and trivial factors
+    (1s) are dropped; every order must be positive.  Each order goes once down
+    the factors, kept with multiplicities: it passes one it divides, and else
+    Z/f + Z/d = Z/gcd + Z/lcm raises a copy of f to the lcm and takes the gcd on.
     """
-    if any(d < 1 for d in orders):
-        raise ValueError(f"cyclic group orders must be positive, got {list(orders)}")
     diag = [d for d in orders if d != 1]
-    # pairwise gcd/lcm sweep: Z/a + Z/b = Z/gcd + Z/lcm
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            if b % a:
-                g = math.gcd(a, b)
-                diag[i] = g
-                diag[j] = a // g * b
-    return tuple(d for d in diag if d != 1)
+    if any(d < 1 for d in diag):
+        raise ValueError(f"cyclic group orders must be positive, got {list(orders)}")
+    chain: dict[int, int] = {}  # factor -> multiplicity; the factors divide one another
+    for d in diag:
+        for f in sorted(chain, reverse=True):
+            if f % d:
+                g = math.gcd(f, d)
+                chain[f // g * d] = chain.get(f // g * d, 0) + 1
+                chain[f] -= 1
+                if not chain[f]:
+                    del chain[f]
+                d = g
+        if d > 1:
+            chain[d] = chain.get(d, 0) + 1
+    return tuple(f for f in sorted(chain) for _ in range(chain[f]))
 
 
 def xor_rank(vectors: Iterable[int]) -> int:
@@ -74,15 +83,20 @@ def reduce_column(col: Column, r: int, pivot: Column) -> None:
             del col[i]
 
 
-def sparse_smith_normal_form(columns: Iterable[Column]) -> list[int]:
-    """``smith_normal_form`` of the matrix with these sparse columns.
+def smith_diagonal(columns: Iterable, mod2: bool = False) -> list[int]:
+    """A diagonal of the matrix with these columns, over Z/2 if ``mod2``, not yet
+    normalised: ``invariant_factors`` of it is the Smith form's torsion.
 
-    A column is reduced past the +-1 pivots found so far, and a unit entry
-    left in it becomes a pivot; the residual columns that hold its row are
-    then reduced again.  The pivots form a triangular unimodular block, so
-    the rest of the Smith form is that of the residual columns alone, which
-    ``gcd_smith_normal_form`` finishes.
+    Over Z/2 the columns are bitsets: ``xor_rank``-many 1s.  Over Z each sparse
+    column is reduced past the +-1 pivots found so far, a unit entry left in it
+    becomes a pivot, and the residual columns holding its row are reduced again.
+    The pivots form a triangular unimodular block, so only residual columns are
+    left to finish, if any: a pivot of least absolute value clears its row by
+    column steps, then its column by row steps on the pivot column alone; a
+    remainder is a smaller entry, picked next.  The caller's columns are kept.
     """
+    if mod2:
+        return [1] * xor_rank(columns)
     pivots: dict[int, Column] = {}
     residual: list[Column] = []
     todo = list(columns)
@@ -102,17 +116,7 @@ def sparse_smith_normal_form(columns: Iterable[Column]) -> list[int]:
         pivots[unit] = col
         todo += [c for c in residual if unit in c]
         residual = [c for c in residual if unit not in c]
-    return [1] * len(pivots) + gcd_smith_normal_form(residual)
-
-
-def gcd_smith_normal_form(columns: Iterable[Column]) -> list[int]:
-    """``smith_normal_form`` of sparse columns by pivots of least absolute value.
-
-    Column steps clear the pivot's row; then row steps, which touch only the
-    pivot column, clear its column.  A remainder left by either is a smaller
-    entry, and the pivot is picked again.  The columns are not changed.
-    """
-    cols, diag = [dict(c) for c in columns], []
+    diag, cols = [1] * len(pivots), [dict(c) for c in residual]
     while any(cols):
         _, r, j = min((abs(a), r, j) for j, col in enumerate(cols) for r, a in col.items())
         pivot = cols.pop(j)
@@ -126,15 +130,14 @@ def gcd_smith_normal_form(columns: Iterable[Column]) -> list[int]:
             cols.append({r: p, **rest})
         else:
             diag.append(abs(p))
-    factors = invariant_factors(diag)
-    return [1] * (len(diag) - len(factors)) + list(factors)
+    return diag
 
 
 def homology_groups(ranks: Sequence[int], diagonals: Sequence[list[int]]) -> list[HomologyGroup]:
-    """H_k from the rank of each C_k and the Smith diagonal of each d_{k+1}: C_{k+1} -> C_k.
+    """H_k from the rank of each C_k and a diagonal of each d_{k+1}: C_{k+1} -> C_k.
 
-    A diagonal may join those of a direct sum's summands.  Over Z/2 it is
-    rank-many 1s, and the Betti numbers are mod 2.
+    A diagonal may join those of a direct sum's summands, and its torsion is
+    normalised here, once.  Over Z/2 it is rank-many 1s; Betti numbers are mod 2.
     """
     rank = [0] + [len(d) for d in diagonals] + [0]
     torsion = [invariant_factors(d) for d in diagonals] + [()]
@@ -238,11 +241,9 @@ class ChainComplex:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
     def homology(self, mod2: bool = False) -> list[HomologyGroup]:
-        """H_k = ker d_k / im d_{k+1} for each dimension, bottom up."""
-        if mod2:  # the Smith diagonal is rank-many 1s, the rank of the odd entries
-            return homology_groups(self.ranks, [
-                [1] * xor_rank(sum(1 << i for i, a in col.items() if a & 1) for col in cols)
-                for cols in self._columns
-            ])
-        return homology_groups(self.ranks, list(map(sparse_smith_normal_form, self._columns)))
+        """H_k = ker d_k / im d_{k+1} for each dimension, bottom up; over Z/2 a column
+        is the bitset of its odd entries."""
+        return homology_groups(self.ranks, [
+            smith_diagonal((sum(1 << i for i, a in c.items() if a & 1) for c in cols)
+                           if mod2 else cols, mod2) for cols in self._columns])
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from ._bits import submasks
 from .facecat import CubicalCell, CubicalComplex
-from .homology import HomologyGroup, check_square_zero, homology_groups
-from .homology import sparse_smith_normal_form, xor_rank
+from .homology import HomologyGroup, check_square_zero, homology_groups, smith_diagonal
 from .simplicial import SimplicialComplex
 
 MAX_MA_VERTICES = 16
@@ -93,9 +92,7 @@ def moment_angle_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homo
                 if not fs:
                     break
                 counts[s] += copies * len(fs)
-                chain = [columns[i] for i in fs]  # over Z/2 the Smith diagonal is rank-many 1s
-                diagonals[s - 1] += ([1] * xor_rank(chain) if mod2 else
-                                     sparse_smith_normal_form(chain)) * copies
+                diagonals[s - 1] += smith_diagonal([columns[i] for i in fs], mod2) * copies
         grow = (near or full) & ~C & ~banned
         while grow:
             bit = grow & -grow

@@ -18,8 +18,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from combitop._bits import vertices_of
-from combitop.homology import HomologyGroup, check_square_zero, homology_groups
-from combitop.homology import sparse_smith_normal_form, xor_rank
+from combitop.homology import HomologyGroup, check_square_zero, homology_groups, smith_diagonal
 from combitop.macomplex import _check_vertex_cap, _simplex_boundary
 from combitop.simplicial import SimplicialComplex
 
@@ -424,9 +423,8 @@ def subset_walk_homology(K: SimplicialComplex, mod2: bool = False) -> list[Homol
             if W:  # every vertex of K is a face, so V(K_W) = W
                 diagonals[0].append(1)
                 diagonals[1] += [1] * (W.bit_count() - components(adjacency, W))
-            for s, fs in enumerate(by_size[3:], 3):  # over Z/2 the Smith diagonal is rank-many 1s
-                chain = [columns[i] for i in fs]
-                diagonals[s - 1] += [1] * xor_rank(chain) if mod2 else sparse_smith_normal_form(chain)
+            for s, fs in enumerate(by_size[3:], 3):
+                diagonals[s - 1] += smith_diagonal([columns[i] for i in fs], mod2)
         for v in range(W.bit_length(), K.m):
             bit, grown, meet = 1 << v, [by_size[0]], star
             for fs, below in zip(by_size[1:], by_size):

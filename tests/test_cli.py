@@ -328,20 +328,22 @@ def test_word_reduce_blocks_json(write_doc, capsys):
 def test_word_reduce_normalises_once(write_doc, capsys, monkeypatch, as_json):
     from combitop import graphprod
 
-    calls = {"_fully_reduce": 0, "_block_split": 0, "GroupWord": 0}
-    for name in calls:
-        real = getattr(graphprod, name)
+    calls = {"_fully_reduce": 0, "_block_split": 0, "_keep": 0}
+    # every GroupWord, checked or not, stores its fields through _keep
+    for owner, name in ((graphprod, "_fully_reduce"), (graphprod, "_block_split"),
+                        (graphprod.GroupWord, "_keep")):
+        real = getattr(owner, name)
 
         def counting(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(graphprod, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     argv = ["word-reduce", "--group", "artin", write_doc(SQUARE), "v2^1 v1^1 v3^1 v2^-1 v4^2"]
     code, out, _ = run(capsys, ["--json", *argv] if as_json else argv)
     assert code == 0 and out
     # one GroupWord, the parsed word: no word is built per block to format it
-    assert calls == {"_fully_reduce": 1, "_block_split": 1, "GroupWord": 1}
+    assert calls == {"_fully_reduce": 1, "_block_split": 1, "_keep": 1}
 
 
 def test_word_reduce_identity(write_doc, capsys):

@@ -96,6 +96,30 @@ def test_word_refuses_unreadable_values(kind, value):
         word(kind, square_graph(), [(1, value)])
 
 
+def test_group_word_checks_its_letters():
+    g = square_graph()
+    # word() reads each of these, but changes or drops its value, or would store a list
+    for kind, letter in [("circulation", (1, Fraction(1, 2))), ("circulation", (1, (2, 4))),
+                         ("circulation", (1, (0, 3))), ("artin", (1, 0)), ("artin", (1, True)),
+                         ("artin", (1, 2.0)), ("coxeter", (1, 2)), ("coxeter", (1, "1")),
+                         ("artin", [1, 2])]:
+        word(kind, g, [letter])
+        with pytest.raises(ValueError, match=re.escape(f"{kind} letter {letter!r} is not canonical")):
+            GroupWord(kind, g, (letter,))
+    # a bad kind, vertex or value: the exception and message of word() for the same letters
+    for kind, letters in [("borel", ()), ("artin", ((5, 1),)), ("artin", ((1.0, 1),)),
+                          ("artin", ((1, 1.5),)), ("circulation", ((1, (1, 2)), (1, None))),
+                          ("artin", ((1, 1, 1),)), ("coxeter", ((2, 2), (0, 1)))]:
+        with pytest.raises(Exception) as refused:
+            word(kind, g, letters)
+        with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+            GroupWord(kind, g, letters)
+    # canonical letters build the word that word() builds
+    w = GroupWord("circulation", g, ((1, (1, 2)), (2, (1, 4)), (1, (1, 2))))
+    assert w == word("circulation", g, [(1, Fraction(1, 2)), (2, 0.25), (1, "1/2")])
+    assert format_word(normal_form(w)) == "t2@1/4"
+
+
 def test_reduce_examples():
     g = square_graph()
     w = word("artin", g, [(1, 1), (2, 1), (1, -1)])

@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from combitop.facecat import cubical_model
@@ -9,16 +10,16 @@ from combitop.homology import (
     ChainComplex,
     HomologyGroup,
     check_square_zero,
-    gcd_smith_normal_form,
     invariant_factors,
+    smith_diagonal,
     smith_normal_form,
-    sparse_smith_normal_form,
 )
 from combitop.macomplex import real_moment_angle
 
 from oracles import (
     dense_boundaries,
     dense_smith_normal_form,
+    invariant_chain,
     small_complexes,
     snf_by_determinant_divisors,
 )
@@ -75,6 +76,39 @@ def test_invariant_factors_against_determinant_divisors():
         assert invariant_factors(orders) == expected
 
 
+def normalised(diag: list[int]) -> list[int]:
+    """A Smith diagonal as ``smith_normal_form`` returns it: 1s, then the invariant factors."""
+    factors = invariant_factors(diag)
+    return [1] * (len(diag) - len(factors)) + list(factors)
+
+
+#: Cyclic orders: small ones, which share primes, and products of primes below 100 past
+#: 2^64 (twelve or more above 40), which the trial-division oracle can still factor.
+PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+ORDERS = st.one_of(st.integers(1, 60), st.builds(
+    lambda small, large: math.prod(small + large), st.lists(st.sampled_from(PRIMES), max_size=4),
+    st.lists(st.sampled_from([p for p in PRIMES if p > 40]), min_size=12, max_size=14)))
+
+
+@st.composite
+def repeated_orders(draw):
+    """Up to six orders, each repeated up to a few thousand times, shuffled together."""
+    orders = [d for d, n in draw(st.lists(st.tuples(ORDERS, st.integers(1, 3000)), max_size=6))
+              for _ in range(n)]
+    draw(st.randoms()).shuffle(orders)
+    return orders
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(repeated_orders())
+@example([2] * 8192)
+@example([4, 2] * 4096)
+@example([6, 10, 15] * 3000)
+def test_invariant_factors_match_prime_powers(orders):
+    # against the chain whose k-th largest factor takes the k-th largest power of each prime
+    assert invariant_factors(orders) == invariant_chain(orders)
+
+
 #: Matrix entries: sparse with +-1 entries, so that pivots, re-reduced residuals and a
 #: finished remainder all occur; no +-1 entry, so that every column reaches the finisher;
 #: and past 2^64.
@@ -96,14 +130,13 @@ def integer_matrices(draw):
 @example([[2], [3]])  # a column with no unit entry whose Smith diagonal is [1]
 @example([[2, 0], [3, 4]])
 def test_sparse_snf_matches_dense(mat):
-    # the sparse path against the dense elimination it replaced, and both against
-    # determinant divisors; the caller's columns stay as given
+    # the one reducer, normalised, against the dense elimination it replaced, and both
+    # against determinant divisors; the caller's columns stay as given
     columns = [{i: row[j] for i, row in enumerate(mat) if row[j]}
                for j in range(len(mat[0]) if mat else 0)]
     copies = [dict(col) for col in columns]
     expected = dense_smith_normal_form(mat)
-    assert sparse_smith_normal_form(columns) == smith_normal_form(mat) == expected
-    assert gcd_smith_normal_form(columns) == expected
+    assert normalised(smith_diagonal(columns)) == smith_normal_form(mat) == expected
     assert columns == copies
     assert expected == (snf_by_determinant_divisors(mat) if columns and mat else [])
 
@@ -117,7 +150,7 @@ def test_sparse_snf_matches_determinant_divisors():
         mat = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(cols)] for _ in range(rows)]
         columns = [{i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)]
         expected = snf_by_determinant_divisors(mat) if rows and cols else []
-        assert sparse_smith_normal_form(columns) == smith_normal_form(mat) == expected
+        assert normalised(smith_diagonal(columns)) == smith_normal_form(mat) == expected
         assert dense_smith_normal_form(mat) == expected
         assert columns == [{i: mat[i][j] for i in range(rows) if mat[i][j]} for j in range(cols)]
 
